@@ -17,29 +17,36 @@ entry positive.  With that scaling the dominance deficit of row 0 is exactly
 shift entry produced by conditioning.build_pd_shift; interior rows are
 already weakly dominant on their own.
 
-Assembly is arithmetic-generic: exact meshes with exact temperatures and tau
-produce object (Fraction) arrays, float meshes produce float64 arrays.
+assemble_system builds all interior rows in one whole-array pass.  For each
+material it gathers the material's non-contact interior nodes by index and
+evaluates the coefficient polynomials on the gathered temperatures at once;
+the stencil entries of every row are then computed together, in the same
+operation order as assemble_interior_row, so float64 results are
+bit-identical to the row-by-row formulas (numpy applies one ufunc per
+operation, with no fused multiply-add).  The range and positivity checks
+run on the same arrays and name the first node at fault.  The Neumann and
+contact rows, O(K) in number, come from their row helpers.
+
+Exact meshes run the same code: exact temperatures and tau give object
+(Fraction) arrays, on which numpy applies Python's exact arithmetic element
+by element; float meshes give float64 arrays.  assemble_interior_row,
+materials.sample and CoefficientSample state the interior row one node at a
+time and serve as the oracle the tests hold assemble_system to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .materials import CoefficientSample, MaterialModel, sample
+from .materials import CoefficientSample, MaterialDomainError, MaterialModel
 from .mesh import RadialMesh
 
 
 class StencilError(ValueError):
     """Row assembled with the wrong stencil for its node type."""
-
-
-def _new_array(values, exact: bool) -> np.ndarray:
-    if exact:
-        return np.array(values, dtype=object)
-    return np.asarray(values, dtype=np.float64)
 
 
 def _zeros(n: int, exact: bool) -> np.ndarray:
@@ -292,6 +299,46 @@ def contact_conductivities(mesh: RadialMesh,
     return pairs
 
 
+def _field(values, exact: bool) -> np.ndarray:
+    """Node values as an array; object dtype keeps exact scalars as given."""
+    return np.asarray(values, dtype=object if exact else np.float64)
+
+
+def _rows_by_material(mesh: RadialMesh) -> list[tuple[str, np.ndarray]]:
+    """(material id, ascending non-contact interior nodes) per material.
+
+    Material changes only at contact nodes, so the rows strictly between two
+    consecutive entries of (0, contacts..., N-1) share the material of the
+    cell to the right of the first entry.
+    """
+    bounds = (0, *mesh.contact_indices, mesh.n - 1)
+    runs: dict[str, list] = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        runs.setdefault(mesh.cell_materials[lo], []).append(np.arange(lo + 1, hi))
+    return [(mid, np.concatenate(parts)) for mid, parts in runs.items()]
+
+
+def _fault(mid: str, rows: np.ndarray, ok, arg, value, offset: int,
+           what: str) -> MaterialDomainError | None:
+    """The error for the first row whose flag in ok is False, or None.
+
+    ok holds one flag per row (a scalar for a constant coefficient), value
+    is the checked quantity, arg the temperature it was evaluated at, offset
+    the checked node's distance from the row and what the message, formatted
+    with arg and value.  Flags are cast to bool: comparisons on object arrays
+    give object arrays, on which ~ is integer negation.
+    """
+    bad = np.flatnonzero(~np.broadcast_to(np.asarray(ok, dtype=bool), rows.shape))
+    if not bad.size:
+        return None
+    pos = bad[0]
+    node = int(rows[pos]) + offset
+    arg, value = (x[pos] if np.ndim(x) else x for x in (arg, value))
+    return MaterialDomainError(
+        f"node {node} (material {mid!r}): " + what.format(arg=arg, value=value),
+        node=node, material=mid, value=value)
+
+
 def assemble_system(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
                     u_guess, u_old, tau, extra_source=None) -> LinearSystem:
     """Assemble the full pentadiagonal system for one implicit level.
@@ -301,50 +348,81 @@ def assemble_system(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     added to the interior right-hand sides (used for manufactured-solution
     studies; boundary and contact rows keep zero RHS).
 
+    Raises MaterialDomainError naming the first node, its material and the
+    offending value when a temperature leaves a material's validity range
+    or rho, cv or the conductivity is not positive.
+
     full_rows of the result is exactly {0, N-1} union the contact indices.
     """
     n = mesh.n
     exact = mesh.is_exact
-    u_guess = list(u_guess)
-    u_old = list(u_old)
-    if len(u_guess) != n or len(u_old) != n:
+    u = _field(u_guess, exact)
+    u_prev = _field(u_old, exact)
+    if u.shape != (n,) or u_prev.shape != (n,):
         raise ValueError("temperature fields must have one value per node")
-    if exact and (isinstance(tau, float) or any(isinstance(v, float) for v in u_guess)
-                  or any(isinstance(v, float) for v in u_old)):
+    if exact and (isinstance(tau, float) or any(isinstance(v, float) for v in u)
+                  or any(isinstance(v, float) for v in u_prev)):
         raise TypeError("exact mesh requires exact (non-float) tau and fields")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
 
-    contacts = set(mesh.contact_indices)
-    d2m = [0] * n
-    d1m = [0] * n
-    d0 = [0] * n
-    d1p = [0] * n
-    d2p = [0] * n
-    rhs = [0] * n
+    groups = _rows_by_material(mesh)
+    rows = np.concatenate([idx for _, idx in groups])
+    dtype = object if exact else np.float64
+    rho_c, lam_lo, lam_hi, phi = (np.empty(len(rows), dtype=dtype) for _ in range(4))
+    faults = []
+    start = 0
+    for mid, idx in groups:
+        model = materials[mid]
+        part = slice(start, start + len(idx))
+        start = part.stop
+        u_i, u_m, u_p = u[idx], u[idx - 1], u[idx + 1]
+        checks = []
+        if model.valid_range is not None:
+            lo, hi = model.valid_range
+            what = f"temperature {{value}} outside validity range [{lo}, {hi}]"
+            checks += [(np.asarray(lo <= v, dtype=bool) & np.asarray(v <= hi, dtype=bool),
+                        v, v, offset, what)
+                       for offset, v in ((-1, u_m), (0, u_i), (1, u_p))]
+        rho, cv = model.rho(u_i), model.cv(u_i)
+        mean_m, mean_p = (u_i + u_m) / 2, (u_i + u_p) / 2
+        lam_m, lam_p = model.conductivity(mean_m), model.conductivity(mean_p)
+        checks += [(rho > 0, u_i, rho, 0, "rho({arg}) = {value} is not positive"),
+                   (cv > 0, u_i, cv, 0, "cv({arg}) = {value} is not positive")]
+        checks += [(lam > 0, mean, lam, 0,
+                    "conductivity({arg}) = {value} is not positive")
+                   for mean, lam in ((mean_m, lam_m), (mean_p, lam_p))]
+        faults += [_fault(mid, idx, *check) for check in checks]
+        rho_c[part] = rho * cv
+        lam_lo[part], lam_hi[part] = lam_m, lam_p
+        phi[part] = model.source(u_i)
+    faults = [exc for exc in faults if exc is not None]
+    if faults:  # the lowest node; at a tie the check listed first
+        raise min(faults, key=lambda exc: exc.node)
 
-    row_first, row_last = assemble_neumann_rows(mesh)
-    d0[0], d1p[0], d2p[0] = row_first
-    d2m[n - 1], d1m[n - 1], d0[n - 1] = row_last
+    # interior rows, in assemble_interior_row's operation order
+    r_prev, r_i, r_next = mesh.nodes[rows - 1], mesh.nodes[rows], mesh.nodes[rows + 1]
+    h_lo = r_i - r_prev
+    h_hi = r_next - r_i
+    hbar = (h_lo + h_hi) / 2
+    r_lo = (r_prev + r_i) / 2
+    r_hi = (r_i + r_next) / 2
+    c_lo = -(r_lo * lam_lo) / (r_i * hbar * h_lo)
+    c_hi = -(r_hi * lam_hi) / (r_i * hbar * h_hi)
+    diag = rho_c / tau - c_lo - c_hi
+    b = rho_c * u_prev[rows] / tau + phi
+    if extra_source is not None:
+        b = b + _field(extra_source, exact)[rows]
 
-    mats = mesh.cell_materials
-    for i in range(1, n - 1):
-        if i in contacts:
-            continue
-        model = materials[mats[i]]
-        coeff = sample(model, u_guess[i], u_guess[i - 1], u_guess[i + 1])
-        c_lo, diag, c_hi, b = assemble_interior_row(mesh, coeff, i, tau, u_old[i])
-        d1m[i], d0[i], d1p[i] = c_lo, diag, c_hi
-        rhs[i] = b if extra_source is None else b + extra_source[i]
-
-    for (i_star, (lam_l, lam_r)) in zip(
-        mesh.contact_indices, contact_conductivities(mesh, materials, u_guess)
+    d2m, d1m, d0, d1p, d2p, rhs = (_zeros(n, exact) for _ in range(6))
+    d1m[rows], d0[rows], d1p[rows], rhs[rows] = c_lo, diag, c_hi, b
+    (d0[0], d1p[0], d2p[0]), (d2m[n - 1], d1m[n - 1], d0[n - 1]) = \
+        assemble_neumann_rows(mesh)
+    for i_star, (lam_l, lam_r) in zip(
+        mesh.contact_indices, contact_conductivities(mesh, materials, u)
     ):
-        c_mm, c_m, c_0, c_p, c_pp = assemble_contact_row(mesh, lam_l, lam_r, i_star)
-        d2m[i_star], d1m[i_star], d0[i_star] = c_mm, c_m, c_0
-        d1p[i_star], d2p[i_star] = c_p, c_pp
+        (d2m[i_star], d1m[i_star], d0[i_star], d1p[i_star],
+         d2p[i_star]) = assemble_contact_row(mesh, lam_l, lam_r, i_star)
 
-    full_rows = tuple(sorted({0, n - 1} | contacts))
-    matrix = PentaMatrix(
-        _new_array(d2m, exact), _new_array(d1m, exact), _new_array(d0, exact),
-        _new_array(d1p, exact), _new_array(d2p, exact), full_rows,
-    )
-    return LinearSystem(matrix, _new_array(rhs, exact))
+    full_rows = tuple(sorted({0, n - 1, *mesh.contact_indices}))
+    return LinearSystem(PentaMatrix(d2m, d1m, d0, d1p, d2p, full_rows), rhs)

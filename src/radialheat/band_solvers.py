@@ -69,9 +69,16 @@ class SolveReport:
     iterations: int = 0
 
 
+def sup_norm(v: np.ndarray) -> object:
+    """max |v_i|.  Float vectors take numpy's reduction, which propagates
+    NaN; exact (object) vectors stay exact."""
+    if v.dtype == object:
+        return max(abs(x) for x in v.tolist())
+    return np.max(np.abs(v))
+
+
 def _residual_inf(system: LinearSystem, x) -> object:
-    res = system.matrix.matvec(x) - system.rhs
-    return max(abs(v) for v in res.tolist())
+    return sup_norm(system.matrix.matvec(x) - system.rhs)
 
 
 def _pivot_thresholds(bands) -> list:

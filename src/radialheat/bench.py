@@ -46,11 +46,6 @@ from .materials import MaterialModel, Polynomial
 from .mesh import LayerSpec, RadialMesh, build_mesh
 from .time_stepper import StepConfig, TemperatureField, run
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # gmpy2 is optional; Fraction is the fallback
-    _mpq = None
-
 NUMERICAL_SOLVERS = ("NPDM", "MNPDM", "NTDM")
 EXACT_SOLVERS = ("SPDM", "STDM")
 PD_PATH = ("NPDM", "MNPDM", "SPDM")
@@ -177,20 +172,6 @@ def _bench_tau(mesh: RadialMesh):
     return h_min * h_min / 100 if not mesh.is_exact else h_min * h_min * Fraction(1, 100)
 
 
-def _to_mpq_system(system: LinearSystem) -> LinearSystem:
-    if _mpq is None:
-        return system
-    def conv(arr):
-        return np.array([_mpq(v) for v in arr.tolist()], dtype=object)
-    m = system.matrix
-    if isinstance(m, PentaMatrix):
-        matrix = PentaMatrix(conv(m.d2m), conv(m.d1m), conv(m.d0),
-                             conv(m.d1p), conv(m.d2p), m.full_rows)
-    else:
-        matrix = TriMatrix(conv(m.sub), conv(m.diag), conv(m.sup), m.contact_rows)
-    return LinearSystem(matrix, conv(system.rhs))
-
-
 @dataclass(eq=False)
 class BenchCase:
     """Shifted systems for one (n, k): a pentadiagonal and a tridiagonal
@@ -202,8 +183,7 @@ class BenchCase:
     mesh: RadialMesh
 
 
-def build_bench_case(n: int, k: int, seed: int, exact: bool = False,
-                     use_mpq: bool = True) -> BenchCase:
+def build_bench_case(n: int, k: int, seed: int, exact: bool = False) -> BenchCase:
     mesh = build_mesh(default_layers(n, k, exact))
     y_bar = constructed_profile(mesh, seed)
     tau = _bench_tau(mesh)
@@ -219,11 +199,6 @@ def build_bench_case(n: int, k: int, seed: int, exact: bool = False,
     td_shift = build_td_shift(reduced.matrix)
     shifted_td = td_shift.apply(reduced.matrix)
     td_system = LinearSystem(shifted_td, shifted_td.matvec(y_bar))
-
-    if exact and use_mpq and _mpq is not None:
-        pd_system = _to_mpq_system(pd_system)
-        td_system = _to_mpq_system(td_system)
-        y_bar = np.array([_mpq(v) for v in y_bar.tolist()], dtype=object)
     return BenchCase(pd_system, td_system, y_bar, mesh)
 
 

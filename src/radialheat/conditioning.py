@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LinearSystem, PentaMatrix, TriMatrix
+from .assembly import LinearSystem, PentaMatrix, TriMatrix, _zeros
 from .mesh import RadialMesh
 
 
@@ -208,30 +208,26 @@ def build_td_shift(td: TriMatrix, rtol: float = 1e-13) -> ShiftDiag:
     Designated entries: |sup| of row 0, |sub| of row N-1 (the sole
     off-diagonal of each), and |sub| + |sup| at every contact row.  Any
     other row found non-dominant (within rtol, for float noise) gets the
-    minimal make-up shift and is listed in extended_rows.
+    minimal make-up shift and is listed in extended_rows.  The scan runs on
+    whole arrays; object (exact) matrices are scanned exactly.
     """
     n = td.n
     exact = td.is_exact
     designated = tuple(sorted({0, n - 1} | set(td.contact_rows)))
-    entries = [0] * n
+    entries = _zeros(n, exact)
     entries[0] = abs(td.sup[0])
     entries[n - 1] = abs(td.sub[n - 1])
-    for i in td.contact_rows:
-        entries[i] = abs(td.sub[i]) + abs(td.sup[i])
+    contacts = list(td.contact_rows)
+    entries[contacts] = np.abs(td.sub[contacts]) + np.abs(td.sup[contacts])
 
-    extended = []
-    designated_set = set(designated)
-    for i in range(n):
-        if i in designated_set:
-            continue
-        off = abs(td.sub[i]) + abs(td.sup[i]) if 0 < i < n - 1 else (
-            abs(td.sup[0]) if i == 0 else abs(td.sub[n - 1]))
-        diag = td.diag[i]
-        deficit = off - diag
-        slack = 0 if exact else rtol * max(abs(diag), off)
-        if deficit > slack:
-            entries[i] = deficit
-            extended.append(i)
-
-    arr = np.array(entries, dtype=object) if exact else np.asarray(entries, dtype=np.float64)
-    return ShiftDiag(arr, "td", designated, tuple(extended))
+    # rows 0 and N-1 are designated, so only |sub| + |sup| rows are scanned
+    off = np.abs(td.sub) + np.abs(td.sup)
+    deficit = off - td.diag
+    if exact:
+        short = np.asarray(deficit > 0, dtype=bool)
+    else:
+        short = deficit > rtol * np.maximum(np.abs(td.diag), off)
+    short[list(designated)] = False
+    extended = np.flatnonzero(short)
+    entries[extended] = deficit[extended]
+    return ShiftDiag(entries, "td", designated, tuple(int(i) for i in extended))

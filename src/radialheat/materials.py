@@ -19,7 +19,18 @@ from typing import Sequence
 
 class MaterialDomainError(ValueError):
     """Temperature outside the declared validity range, or a coefficient
-    evaluated to a non-physical (non-positive) value."""
+    evaluated to a non-physical (non-positive) value.
+
+    Errors raised during assembly carry the node at fault, its material id
+    and the offending value; the single-value checks below leave them None.
+    """
+
+    def __init__(self, message: str, node: int | None = None,
+                 material: str | None = None, value=None):
+        super().__init__(message)
+        self.node = node
+        self.material = material
+        self.value = value
 
 
 class Polynomial:

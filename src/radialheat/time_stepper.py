@@ -31,13 +31,14 @@ exact and no iteration is performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .assembly import assemble_system
-from .band_solvers import solve_pd_lu, solve_pd_modified, solve_td_thomas
+from .band_solvers import (solve_pd_lu, solve_pd_modified, solve_td_thomas,
+                           sup_norm)
 from .conditioning import ShiftDiag, build_pd_shift, build_td_shift, pd_to_td
 from .exact_solvers import SingularMatrixError, exact_solve_pd, exact_solve_td
 from .assembly import LinearSystem, contact_conductivities
@@ -111,14 +112,6 @@ class TemperatureField:
 
     def copy(self) -> "TemperatureField":
         return TemperatureField(self.values.copy(), self.time)
-
-
-def _diff_inf(u_new, u_old) -> object:
-    return max(abs(a - b) for a, b in zip(list(u_new), list(u_old)))
-
-
-def _norm_inf(u) -> object:
-    return max(abs(v) for v in list(u))
 
 
 def _solve_once(system: LinearSystem, solver_id: str):
@@ -197,6 +190,29 @@ def _is_linear(materials: Mapping[str, MaterialModel]) -> bool:
     return all(m.constant_coefficients for m in materials.values())
 
 
+def _picard_pass(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
+                 u_iter, u_prev, cfg: StepConfig, extra_source) -> np.ndarray:
+    """One Picard pass: assemble with coefficients frozen at u_iter and solve
+    in cfg's shift mode.  The pass's systems die with this frame, so a
+    NonConvergenceError traceback kept by a caller does not hold them."""
+    system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
+                             extra_source=extra_source)
+    if cfg.solver_id in TD_SOLVERS:
+        system = pd_to_td(system)
+    if cfg.shift_mode == "none":
+        return _solve_once(system, cfg.solver_id)
+    if cfg.solver_id in TD_SOLVERS:
+        shift = build_td_shift(system.matrix)
+    else:
+        shift = build_pd_shift(
+            mesh, contact_conductivities(mesh, materials, u_iter))
+    if cfg.shift_mode == "corrected":
+        return _corrected_solve(system, shift, cfg.solver_id)
+    shifted = LinearSystem(shift.apply(system.matrix),
+                           system.rhs + shift.feedback(u_iter))
+    return _solve_once(shifted, cfg.solver_id)
+
+
 def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
             u_old: TemperatureField, cfg: StepConfig,
             extra_source=None) -> tuple[TemperatureField, int]:
@@ -214,32 +230,15 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     linear = _is_linear(materials)
 
     for k in range(1, cfg.max_picard + 1):
-        system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
-                                 extra_source=extra_source)
-        if cfg.solver_id in TD_SOLVERS:
-            system = pd_to_td(system)
-        if cfg.shift_mode == "none":
-            u_next = _solve_once(system, cfg.solver_id)
-        else:
-            if cfg.solver_id in TD_SOLVERS:
-                shift = build_td_shift(system.matrix)
-            else:
-                shift = build_pd_shift(
-                    mesh, contact_conductivities(mesh, materials, u_iter))
-            if cfg.shift_mode == "corrected":
-                u_next = _corrected_solve(system, shift, cfg.solver_id)
-            else:
-                shifted = LinearSystem(shift.apply(system.matrix),
-                                       system.rhs + shift.feedback(u_iter))
-                u_next = _solve_once(shifted, cfg.solver_id)
-
+        u_next = _picard_pass(mesh, materials, u_iter, u_prev, cfg, extra_source)
         if linear and cfg.shift_mode in ("none", "corrected"):
             # system and RHS do not depend on the iterate: one solve is exact
             return TemperatureField(u_next, u_old.time + cfg.tau), k
-        diff = _diff_inf(u_next, u_iter)
+        diff = sup_norm(u_next - u_iter)
         u_iter = u_next
-        # relative stop; <= also accepts an exactly zero update at u = 0
-        if diff <= cfg.picard_tol * _norm_inf(u_next):
+        # relative stop; <= also accepts an exactly zero update at u = 0,
+        # and a NaN update is never accepted
+        if diff <= cfg.picard_tol * sup_norm(u_next):
             return TemperatureField(u_next, u_old.time + cfg.tau), k
 
     raise NonConvergenceError(diff, cfg.max_picard)

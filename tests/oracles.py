@@ -4,11 +4,19 @@ These deliberately share no code with the package: the float oracle is
 LAPACK's dense partial-pivoting solve via numpy, and the exact oracles are
 textbook dense eliminations over Fractions (Bareiss fraction-free, and
 plain Gaussian elimination with partial pivoting by magnitude).
+
+The assembly and shift-scan oracles are the exception: they restate the
+package's whole-array assemble_system and build_td_shift one row at a time,
+from the per-row helpers (sample, assemble_interior_row, ...), so the
+whole-array code can be held to them value for value.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from radialheat import (assemble_contact_row, assemble_interior_row,
+                        assemble_neumann_rows, contact_conductivities, sample)
 
 
 def dense_solve(system):
@@ -85,3 +93,53 @@ def exact_dense_rows(matrix):
     """Dense row list of a banded matrix with exact scalars preserved."""
     dense = matrix.to_dense()
     return [list(row) for row in dense.tolist()]
+
+
+def assemble_rows(mesh, materials, u_guess, u_old, tau, extra_source=None):
+    """Row-by-row assembly from the per-node helpers: one materials.sample
+    and one assemble_interior_row call per interior node, then the Neumann
+    and contact rows.  Returns (d2m, d1m, d0, d1p, d2p, rhs) as lists, the
+    reference that the whole-array assemble_system must match exactly."""
+    n = mesh.n
+    u_guess, u_old = list(u_guess), list(u_old)
+    d2m, d1m, d0, d1p, d2p, rhs = ([0] * n for _ in range(6))
+    (d0[0], d1p[0], d2p[0]), (d2m[-1], d1m[-1], d0[-1]) = \
+        assemble_neumann_rows(mesh)
+    for i in range(1, n - 1):
+        if i in mesh.contact_indices:
+            continue
+        model = materials[mesh.cell_materials[i]]
+        coeff = sample(model, u_guess[i], u_guess[i - 1], u_guess[i + 1])
+        d1m[i], d0[i], d1p[i], rhs[i] = assemble_interior_row(
+            mesh, coeff, i, tau, u_old[i])
+        if extra_source is not None:
+            rhs[i] = rhs[i] + extra_source[i]
+    lams = contact_conductivities(mesh, materials, u_guess)
+    for i_star, (lam_l, lam_r) in zip(mesh.contact_indices, lams):
+        (d2m[i_star], d1m[i_star], d0[i_star], d1p[i_star],
+         d2p[i_star]) = assemble_contact_row(mesh, lam_l, lam_r, i_star)
+    return d2m, d1m, d0, d1p, d2p, rhs
+
+
+def td_shift_rows(td, rtol=1e-13):
+    """Row-by-row dominance scan of a tridiagonal matrix: the shift entries
+    (as a list) and the extended rows that conditioning.build_td_shift must
+    reproduce exactly."""
+    n = td.n
+    designated = {0, n - 1} | set(td.contact_rows)
+    entries = [0] * n
+    entries[0] = abs(td.sup[0])
+    entries[n - 1] = abs(td.sub[n - 1])
+    for i in td.contact_rows:
+        entries[i] = abs(td.sub[i]) + abs(td.sup[i])
+    extended = []
+    for i in range(1, n - 1):
+        if i in designated:
+            continue
+        off = abs(td.sub[i]) + abs(td.sup[i])
+        deficit = off - td.diag[i]
+        slack = 0 if td.is_exact else rtol * max(abs(td.diag[i]), off)
+        if deficit > slack:
+            entries[i] = deficit
+            extended.append(i)
+    return entries, tuple(extended)

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 import sympy
 
-from radialheat import (LayerSpec, MaterialModel, Polynomial, RadialMesh,
-                        StencilError, CoefficientSample, assemble_contact_row,
-                        assemble_interior_row, assemble_neumann_rows,
-                        assemble_system, build_mesh)
+from oracles import assemble_rows
+from radialheat import (LayerSpec, MaterialDomainError, MaterialModel, Polynomial,
+                        RadialMesh, StencilError, CoefficientSample,
+                        assemble_contact_row, assemble_interior_row,
+                        assemble_neumann_rows, assemble_system, build_mesh)
+from radialheat.bench import default_layers
 
 
 def uniform_mesh(r0=98.0, h=1.0, n=5):
@@ -300,3 +302,125 @@ def test_extra_source_enters_interior_rhs_only():
     for i in range(mesh.n):
         expected = 0.0 if i in (0, 4, mesh.n - 1) else 10.0
         assert diff[i] == expected
+
+
+# ---------------------------------------------------------------------------
+# whole-array assembly against the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+def assert_same_as_rows(system, mesh, materials, u, u_old, tau, extra=None):
+    ref = assemble_rows(mesh, materials, u, u_old, tau, extra)
+    m = system.matrix
+    for band, ref_band in zip((m.d2m, m.d1m, m.d0, m.d1p, m.d2p, system.rhs), ref):
+        if mesh.is_exact:
+            assert band.dtype == object
+            assert band.tolist() == list(ref_band)
+        else:
+            assert band.dtype == np.float64
+            assert np.array_equal(band, np.asarray(ref_band, dtype=np.float64))
+    assert m.full_rows == tuple(sorted({0, mesh.n - 1, *mesh.contact_indices}))
+
+
+def test_nonlinear_cylinder_matches_row_oracle_bit_for_bit():
+    mesh = build_mesh(default_layers(600, 11))
+    mats = {
+        "a": MaterialModel(Polynomial((2.0, 0.3, -0.01)), Polynomial((1.5, 0.02)),
+                           Polynomial((1.0, 0.5, 0.25)), Polynomial((0.1, 0.2, 0.3)),
+                           valid_range=(-5.0, 50.0)),
+        "b": MaterialModel(Polynomial((3.0,)), Polynomial((0.7, 0.01)),
+                           Polynomial((3.0, -0.01)), Polynomial((1.0,))),
+    }
+    rng = np.random.default_rng(7)
+    u = 1.0 + rng.random(mesh.n)
+    u_old = 1.0 + rng.random(mesh.n)
+    extra = list(rng.random(mesh.n))
+    system = assemble_system(mesh, mats, u, u_old, 1e-3, extra_source=extra)
+    assert_same_as_rows(system, mesh, mats, u, u_old, 1e-3, extra)
+
+
+def test_exact_nonlinear_assembly_matches_row_oracle():
+    mesh = build_mesh([LayerSpec(Fraction(1), Fraction(2), "a", 5),
+                       LayerSpec(Fraction(2), Fraction(7, 2), "b", 6),
+                       LayerSpec(Fraction(7, 2), Fraction(4), "a", 4)])
+    mats = {
+        "a": MaterialModel(Polynomial((Fraction(2), Fraction(1, 3))),
+                           Polynomial((Fraction(1), Fraction(0), Fraction(1, 7))),
+                           Polynomial((Fraction(1), Fraction(1, 2))),
+                           Polynomial((Fraction(0), Fraction(1, 5))),
+                           valid_range=(Fraction(0), Fraction(10))),
+        "b": MaterialModel(Polynomial((Fraction(5, 4),)), Polynomial((Fraction(3),)),
+                           Polynomial((Fraction(3), Fraction(-1, 9))),
+                           Polynomial((Fraction(1, 2),))),
+    }
+    u = [1 + Fraction(j, 7) for j in range(mesh.n)]
+    u_old = [2 - Fraction(j, 11) for j in range(mesh.n)]
+    extra = [Fraction(j % 3, 5) for j in range(mesh.n)]
+    system = assemble_system(mesh, mats, u, u_old, Fraction(1, 8), extra_source=extra)
+    assert isinstance(system.matrix.d0[1], Fraction)
+    assert_same_as_rows(system, mesh, mats, u, u_old, Fraction(1, 8), extra)
+
+
+def test_graded_mesh_matches_row_oracle_bit_for_bit():
+    nodes = [1.0 + 0.05 * j + 0.003 * j * j for j in range(21)]
+    mesh = RadialMesh.from_nodes(nodes, (9,), ("a",) * 9 + ("b",) * 11)
+    mats = {
+        "a": MaterialModel(Polynomial((1.0, 0.1)), Polynomial((2.0,)),
+                           Polynomial((1.0, 0.5))),
+        "b": MaterialModel(Polynomial((0.5,)), Polynomial((1.0, -0.05)),
+                           Polynomial((4.0,)), Polynomial((0.0, 1.0))),
+    }
+    assert not mesh.uniform_steps_per_layer
+    u = [1.0 + 0.1 * np.sin(r) for r in nodes]
+    system = assemble_system(mesh, mats, u, u, 0.02)
+    assert_same_as_rows(system, mesh, mats, u, u, 0.02)
+
+
+# ---------------------------------------------------------------------------
+# errors name the node at fault
+# ---------------------------------------------------------------------------
+
+def test_out_of_range_temperature_names_node_and_material():
+    mesh = build_mesh(default_layers(120, 3))
+    mats = {mid: MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)),
+                               Polynomial((1.0,)), valid_range=(0.0, 10.0))
+            for mid in ("a", "b")}
+    u = np.full(mesh.n, 1.0)
+    j = mesh.contact_indices[1] + 5  # interior node of the third layer
+    u[j], u[j + 20] = 50.0, -3.0
+    with pytest.raises(MaterialDomainError, match=f"node {j} ") as info:
+        assemble_system(mesh, mats, u, u, 0.1)
+    assert (info.value.node, info.value.material, info.value.value) == (j, "a", 50.0)
+
+
+def test_nonpositive_conductivity_names_node_and_material():
+    mesh = build_mesh(default_layers(120, 3))
+    mats = {"a": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)), Polynomial((1.0,))),
+            # lambda(u) = 2 - u turns negative above u = 2
+            "b": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)),
+                               Polynomial((2.0, -1.0)))}
+    u = np.full(mesh.n, 1.0)
+    j = mesh.contact_indices[0] + 7  # interior node of the second layer
+    u[j] = u[j + 1] = 2.5  # only the half point j + 1/2 sees a mean above 2
+    with pytest.raises(MaterialDomainError, match="conductivity") as info:
+        assemble_system(mesh, mats, u, u, 0.1)
+    assert (info.value.node, info.value.material, info.value.value) == (j, "b", -0.5)
+
+
+def test_assembly_evaluates_coefficients_once_per_material_not_per_node(monkeypatch):
+    mesh = build_mesh(default_layers(10_000, 11))
+    mats = {"a": MaterialModel(Polynomial((1.0, 0.1)), Polynomial((1.0,)),
+                               Polynomial((1.0, 0.5))),
+            "b": MaterialModel(Polynomial((1.0,)), Polynomial((2.0, 0.01)),
+                               Polynomial((3.0,)), Polynomial((1.0, 0.2)))}
+    calls = []
+    original = Polynomial.__call__
+
+    def counted(self, u):
+        calls.append(1)
+        return original(self, u)
+
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    u = np.linspace(1.0, 2.0, mesh.n)
+    assemble_system(mesh, mats, u, u, 1e-3)
+    # rho, cv, source and two conductivities per material, two per contact
+    assert 0 < len(calls) <= 5 * len(mats) + 2 * mesh.k

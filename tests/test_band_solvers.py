@@ -11,6 +11,7 @@ from radialheat import (BreakdownError, LayerSpec, LinearSystem, MaterialModel,
                         build_mesh, build_pd_shift, build_td_shift,
                         contact_conductivities, pd_to_td, solve_pd_lu,
                         solve_pd_modified, solve_td_thomas)
+from radialheat.band_solvers import sup_norm
 from radialheat.bench import make_random_system
 
 
@@ -173,3 +174,11 @@ def test_numerical_thomas_runs_exactly_over_fractions():
     rep = solve_td_thomas(system)
     assert rep.residual_inf == 0
     assert all(isinstance(v, Fraction) for v in rep.solution.tolist())
+
+
+def test_sup_norm_propagates_nan_and_stays_exact():
+    # a NaN anywhere must reach the Picard stop test, which then fails
+    assert np.isnan(sup_norm(np.array([1.0, np.nan, 0.5])))
+    assert sup_norm(np.array([-2.5, 1.0])) == 2.5
+    exact = sup_norm(np.array([Fraction(-3, 2), Fraction(1)], dtype=object))
+    assert exact == Fraction(3, 2) and isinstance(exact, Fraction)

@@ -69,7 +69,7 @@ def test_bench_exact_cap_skips():
 
 
 def test_exact_case_recovers_profile_exactly():
-    case = build_bench_case(200, 3, seed=5, exact=True, use_mpq=False)
+    case = build_bench_case(200, 3, seed=5, exact=True)
     from radialheat import exact_solve_pd, exact_solve_td
     assert exact_solve_pd(case.pd_system) == case.y_bar.tolist()
     assert exact_solve_td(case.td_system) == case.y_bar.tolist()

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dense_solve, exact_dense_rows, pivoted_fraction_solve, rel_inf_err
+from oracles import (dense_solve, exact_dense_rows, pivoted_fraction_solve,
+                     rel_inf_err, td_shift_rows)
 from radialheat import (LayerSpec, LinearSystem, MaterialModel, PentaMatrix,
                         Polynomial, ReductionBreakdownError, TriMatrix,
                         assemble_system, build_mesh, build_pd_shift,
@@ -209,3 +210,32 @@ def test_td_shift_fixed_point_consistency_exact():
     lhs = shifted.matvec(np.array(x, dtype=object))
     rhs = reduced.rhs + shift.feedback(np.array(x, dtype=object))
     assert all(a == b for a, b in zip(lhs.tolist(), rhs.tolist()))
+
+
+def test_td_shift_matches_row_scan_float_and_exact():
+    rng = np.random.default_rng(12)
+    extended_seen = 0
+    for trial in range(10):
+        n = 40
+        sub, sup = rng.normal(size=(2, n))
+        diag = 2 * rng.normal(size=n)
+        sub[0] = sup[-1] = 0.0
+        # deficits just inside and just outside the float slack
+        diag[3] = (abs(sub[3]) + abs(sup[3])) * (1 - 1e-15)
+        diag[5] = (abs(sub[5]) + abs(sup[5])) * (1 - 1e-9)
+        contacts = (7, 19, 31) if trial % 2 else ()
+        float_td = TriMatrix(sub, diag, sup, contacts)
+        exact_td = TriMatrix(*(np.array([Fraction(int(v * 64), 9) for v in band],
+                                        dtype=object) for band in (sub, diag, sup)),
+                             contacts)
+        for td in (float_td, exact_td):
+            shift = build_td_shift(td)
+            entries, extended = td_shift_rows(td)
+            assert shift.entries.dtype == (object if td.is_exact else np.float64)
+            if td.is_exact:
+                assert shift.entries.tolist() == entries
+            else:
+                assert np.array_equal(shift.entries, np.asarray(entries))
+            assert shift.extended_rows == extended
+            extended_seen += len(extended)
+    assert extended_seen > 0

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radialheat import (LayerSpec, MaterialModel, NonConvergenceError,
-                        Polynomial, StepConfig, TemperatureField, advance,
-                        build_mesh, run)
+from radialheat import (LayerSpec, LinearSystem, MaterialModel,
+                        NonConvergenceError, Polynomial, StepConfig,
+                        TemperatureField, advance, build_mesh, run)
 
 LINEAR_MATERIALS = {
     "a": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)), Polynomial((2.0,))),
@@ -115,6 +115,12 @@ def test_max_picard_exceeded_raises():
     with pytest.raises(NonConvergenceError) as err:
         advance(mesh, LINEAR_MATERIALS, u0, cfg)
     assert err.value.last_diff > 0
+    # no frame of the traceback holds a pass's system, so a caller that keeps
+    # the error does not keep the failed step's matrices alive
+    tb = err.value.__traceback__
+    while tb is not None:
+        assert not any(isinstance(v, LinearSystem) for v in tb.tb_frame.f_locals.values())
+        tb = tb.tb_next
 
 
 def test_run_rejects_zero_steps():
