@@ -20,7 +20,7 @@ from .assembly import (LinearSystem, PentaMatrix, StencilError, TriMatrix,
 from .conditioning import (ReductionBreakdownError, ShiftDiag, build_pd_shift,
                            build_td_shift, is_weakly_dominant, pd_to_td,
                            weakly_dominant_rows)
-from .band_solvers import (BreakdownError, SolveReport, SOLVER_IDS,
+from .band_solvers import (SOLVERS, BreakdownError, SolveReport,
                            solve_pd_lu, solve_pd_modified, solve_td_thomas)
 from .exact_solvers import (DeferredScalar, ExactScalar, ExactInputError,
                             SingularMatrixError, exact_solve_pd,

@@ -1,37 +1,41 @@
-"""Direct banded solvers with exact floating-point operation counts.
+"""Banded elimination kernels, the float solvers on them, the solver registry.
 
-Three solvers, all O(N), all pivot-free (dominantize first if the input is
-not safe):
+Each elimination is written once, as a kernel: factor(inputs, thr, on_zero)
+returns factors that solve(factors, f) reuses for any right-hand side f.
+Inputs are plain lists, so one kernel runs in float and in exact arithmetic.
 
-* solve_pd_lu ("NPDM"): unit-lower LU of the full pentadiagonal band.  Every
-  row gets the complete five-diagonal treatment regardless of sparsity.
-  Counted work is exactly 19*N - 29 operations.
+* LU: unit-lower LU of the full five-diagonal band.  NPDM, SPDM.
+* MODIFIED: row-normalized pentadiagonal elimination that runs the
+  five-term recurrences only on the matrix's full_rows (one membership
+  check per row) and tridiagonal-style ones elsewhere.  MNPDM.
+* THOMAS: the normalized Thomas sweep, which multiplies by the inverse
+  pivot and divides in its last row.  NTDM, STDM.
 
-* solve_pd_modified ("MNPDM"): row-normalized elimination that consults the
-  full_rows metadata (one membership check per row in the forward pass) and
-  runs the five-term recurrences only on those rows; the remaining rows get
-  the tridiagonal-style reduced recurrences.  Counted work is exactly
-  13*N + 7*K - 8 operations for systems with K contact rows plus full first
-  and last rows.
+Pivot policy.  Row i's pivot p is zero when ``p == 0 or thr[i] and abs(p) <
+thr[i]`` (so a NaN pivot is not, and a zero threshold takes no abs());
+on_zero(i) then returns the pivot to use or raises.  The float entry points
+use thr[i] = PIVOT_RTOL * max |row i entry| and raise BreakdownError(i):
+dominantize first, or use the exact solvers, whose thresholds are zero and
+whose on_zero defers the pivot to a formal eps (exact_solvers).  Exact
+(object) data handed to a float entry point gets zero thresholds too.
 
-* solve_td_thomas ("NTDM"): the classical normalized forward sweep plus back
-  substitution for tridiagonal systems.  Counted work is exactly 9*N - 8.
+op_count is a closed form for the +, -, * and / on matrix and vector
+scalars in one factor and one solve: 19N - 29 (LU), 9N - 8 (THOMAS), and
+for MODIFIED 13N - 15 plus a cost per full row, 13N + 7K - 8 for full rows
+0, N-1 and K contact rows.  Index arithmetic, row-type checks, pivot tests
+and the residual are not counted; bench.verify_op_counts checks the forms
+by running the kernels over a counting scalar.  wall_time covers factor and
+solve only.
 
-op_count tallies multiplications, divisions, additions and subtractions on
-matrix/vector scalars.  Index arithmetic, the row-type check-ups of
-solve_pd_modified, pivot guards and the post-solve residual are not counted.
-wall_time covers the arithmetic phases only (diagonal extraction and the
-residual are outside the timer).
-
-A pivot whose magnitude falls below 1e-30 times its row's largest input
-entry is treated as a structural zero and raises BreakdownError; callers
-are expected to dominantize, or to fall back to the exact solvers.
+SOLVERS is the one table of solver ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,8 +43,6 @@ from .assembly import LinearSystem, PentaMatrix, TriMatrix
 
 #: Relative pivot threshold separating structural zeros from rounding noise.
 PIVOT_RTOL = 1e-30
-
-SOLVER_IDS = ("NPDM", "MNPDM", "NTDM", "SPDM", "STDM")
 
 
 class BreakdownError(RuntimeError):
@@ -57,8 +59,6 @@ class SolveReport:
 
     residual_inf is measured against the system actually handed to the
     solver (the shifted system, when a dominance shift was applied upstream).
-    iterations is 0 for these direct solvers; outer fixed-point drivers fill
-    it in on their own reports.
     """
 
     solution: np.ndarray
@@ -66,7 +66,6 @@ class SolveReport:
     wall_time: float
     residual_inf: object
     solver_id: str
-    iterations: int = 0
 
 
 def sup_norm(v: np.ndarray) -> object:
@@ -77,242 +76,296 @@ def sup_norm(v: np.ndarray) -> object:
     return np.max(np.abs(v))
 
 
-def _residual_inf(system: LinearSystem, x) -> object:
-    return sup_norm(system.matrix.matvec(x) - system.rhs)
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+def lu_factor(inputs, thr, on_zero):
+    """A = L U with unit lower bands l1, l2 and upper bands u (main), v (+1)
+    and b (+2), which U shares with A."""
+    e, c, d, a, b = inputs
+    n = len(d)
+    l1 = [0] * n
+    l2 = [0] * n
+    u = [0] * n
+    v = [0] * n
+    p = d[0]
+    if p == 0 or thr[0] and abs(p) < thr[0]:
+        p = on_zero(0)
+    u[0] = p
+    v[0] = a[0]
+    l1[1] = c[1] / u[0]
+    p = d[1] - l1[1] * v[0]
+    if p == 0 or thr[1] and abs(p) < thr[1]:
+        p = on_zero(1)
+    u[1] = p
+    v[1] = a[1] - l1[1] * b[0]
+    for i in range(2, n):
+        l2[i] = e[i] / u[i - 2]
+        l1[i] = (c[i] - l2[i] * v[i - 2]) / u[i - 1]
+        p = d[i] - l2[i] * b[i - 2] - l1[i] * v[i - 1]
+        t = thr[i]
+        if p == 0 or t and abs(p) < t:
+            p = on_zero(i)
+        u[i] = p
+        if i <= n - 2:
+            v[i] = a[i] - l1[i] * b[i - 1]
+    return l1, l2, u, v, b
 
 
-def _pivot_thresholds(bands) -> list:
-    """Per-row breakdown thresholds: PIVOT_RTOL * max |row entry|.
+def lu_solve(factors, f):
+    """L y = f, then U x = y with x written over y."""
+    l1, l2, u, v, w = factors
+    n = len(f)
+    y = [0] * n
+    y[0] = f[0]
+    y[1] = f[1] - l1[1] * y[0]
+    for i in range(2, n):
+        y[i] = f[i] - l1[i] * y[i - 1] - l2[i] * y[i - 2]
+    y[n - 1] = y[n - 1] / u[n - 1]
+    y[n - 2] = (y[n - 2] - v[n - 2] * y[n - 1]) / u[n - 2]
+    for i in range(n - 3, -1, -1):
+        y[i] = (y[i] - v[i] * y[i + 1] - w[i] * y[i + 2]) / u[i]
+    return y
 
-    Exact (object dtype) systems get zero thresholds: exact arithmetic has
-    no rounding noise, so only a literally zero pivot is a breakdown there.
-    """
-    if bands[0].dtype == object:
-        return [0] * len(bands[0])
-    stacked = np.abs(np.vstack(bands))
-    return (PIVOT_RTOL * stacked.max(axis=0)).tolist()
+
+def modified_factor(inputs, thr, on_zero):
+    """Row i becomes x_i + alpha_i x_{i+1} + beta_i x_{i+2} = z_i.  Full rows
+    first eliminate their outer entry, which turns c_i into gam_i; reduced
+    rows keep gam_i = c_i and beta_i = 0."""
+    e, c, d, a, b, full_rows = inputs
+    n = len(d)
+    is_full = [False] * n
+    for i in full_rows:
+        is_full[i] = True
+    alpha = [0] * n
+    beta = [0] * n
+    gam = list(c)
+    inv = [0] * n
+    mu = d[0]
+    if mu == 0 or thr[0] and abs(mu) < thr[0]:
+        mu = on_zero(0)
+    inv[0] = q = 1 / mu
+    alpha[0] = a[0] * q
+    if is_full[0]:
+        beta[0] = b[0] * q
+    for i in range(1, n):
+        g = c[i]
+        if is_full[i] and i >= 2:
+            g = gam[i] = c[i] - alpha[i - 2] * e[i]
+            mu = d[i] - beta[i - 2] * e[i] - alpha[i - 1] * g
+        else:
+            mu = d[i] - alpha[i - 1] * g
+        t = thr[i]
+        if mu == 0 or t and abs(mu) < t:
+            mu = on_zero(i)
+        inv[i] = q = 1 / mu
+        if i <= n - 2:
+            alpha[i] = (a[i] - beta[i - 1] * g) * q
+        if is_full[i] and i <= n - 3:
+            beta[i] = b[i] * q
+    return e, alpha, beta, gam, inv, is_full
 
 
-def _wrap(x_list, system, ops, wall, solver_id) -> SolveReport:
-    exact = system.rhs.dtype == object
-    x = np.array(x_list, dtype=object) if exact else np.asarray(x_list, dtype=np.float64)
-    return SolveReport(x, ops, wall, _residual_inf(system, x), solver_id)
+def modified_solve(factors, f):
+    """Forward sweep for z, then a uniform back substitution (beta of a
+    reduced row is zero) with x written over z."""
+    e, alpha, beta, gam, inv, is_full = factors
+    n = len(f)
+    z = [0] * n
+    z[0] = f[0] * inv[0]
+    for i in range(1, n):
+        if is_full[i] and i >= 2:
+            z[i] = (f[i] - e[i] * z[i - 2] - gam[i] * z[i - 1]) * inv[i]
+        else:
+            z[i] = (f[i] - gam[i] * z[i - 1]) * inv[i]
+    z[n - 2] = z[n - 2] - alpha[n - 2] * z[n - 1]
+    for i in range(n - 3, -1, -1):
+        z[i] = z[i] - alpha[i] * z[i + 1] - beta[i] * z[i + 2]
+    return z
+
+
+def thomas_factor(inputs, thr, on_zero):
+    """Normalized sweep: row i becomes x_i + sp_i x_{i+1} = z_i.  q holds the
+    inverse pivots, except q[N-1], the last pivot itself (that row divides)."""
+    c, d, a = inputs
+    n = len(d)
+    sp = [0] * n
+    q = [0] * n
+    den = d[0]
+    if den == 0 or thr[0] and abs(den) < thr[0]:
+        den = on_zero(0)
+    q[0] = inv = 1 / den
+    sp[0] = a[0] * inv
+    for i in range(1, n - 1):
+        den = d[i] - c[i] * sp[i - 1]
+        t = thr[i]
+        if den == 0 or t and abs(den) < t:
+            den = on_zero(i)
+        q[i] = inv = 1 / den
+        sp[i] = a[i] * inv
+    den = d[n - 1] - c[n - 1] * sp[n - 2]
+    if den == 0 or thr[n - 1] and abs(den) < thr[n - 1]:
+        den = on_zero(n - 1)
+    q[n - 1] = den
+    return c, sp, q
+
+
+def thomas_solve(factors, f):
+    """Forward sweep for z, then back substitution with x written over z."""
+    c, sp, q = factors
+    n = len(f)
+    z = [0] * n
+    z[0] = f[0] * q[0]
+    for i in range(1, n - 1):
+        z[i] = (f[i] - c[i] * z[i - 1]) * q[i]
+    z[n - 1] = (f[n - 1] - c[n - 1] * z[n - 2]) / q[n - 1]
+    for i in range(n - 2, -1, -1):
+        z[i] = z[i] - sp[i] * z[i + 1]
+    return z
+
+
+class Kernel(NamedTuple):
+    """One banded elimination; shape "pd" (five diagonals) or "td" (three)."""
+
+    name: str
+    shape: str
+    factor: Callable
+    solve: Callable
+
+
+LU = Kernel("LU", "pd", lu_factor, lu_solve)
+MODIFIED = Kernel("MODIFIED", "pd", modified_factor, modified_solve)
+THOMAS = Kernel("THOMAS", "td", thomas_factor, thomas_solve)
+
+#: Band shape -> matrix class, smallest N, name, and diagonals lowest first.
+_SHAPES = {
+    "pd": (PentaMatrix, 3, "pentadiagonal", ("d2m", "d1m", "d0", "d1p", "d2p")),
+    "td": (TriMatrix, 2, "tridiagonal", ("sub", "diag", "sup")),
+}
+
+
+def kernel_inputs(matrix, kernel: Kernel, convert) -> list:
+    """kernel.factor's inputs: each diagonal of matrix, lowest first, as
+    convert(array, name), and the full rows for MODIFIED."""
+    cls, n_min, word, names = _SHAPES[kernel.shape]
+    if not isinstance(matrix, cls):
+        raise TypeError(f"the {kernel.name} kernel expects a {word} system")
+    if matrix.n < n_min:
+        raise ValueError(f"{word} solver needs N >= {n_min}")
+    inputs = [convert(getattr(matrix, name), name) for name in names]
+    if kernel is MODIFIED:
+        inputs.append(matrix.full_rows)
+    return inputs
+
+
+def op_count(kernel: Kernel, matrix) -> int:
+    """Closed-form count of + - * / in one kernel.factor and kernel.solve."""
+    n = matrix.n
+    if kernel is LU:
+        return 19 * n - 29
+    if kernel is THOMAS:
+        return 9 * n - 8
+    # a full row's work over a reduced row's: beta_0 in row 0, beta_1 in row
+    # 1 (none at N = 3), no beta in the last two rows and no alpha in N-1
+    return 13 * n - 15 + sum(1 if i == 0 else int(n >= 4) if i == 1
+                             else 6 if i >= n - 2 else 7
+                             for i in set(matrix.full_rows))
+
+
+# ---------------------------------------------------------------------------
+# float entry points
+# ---------------------------------------------------------------------------
+
+def raise_breakdown(row: int):
+    """Float pivot policy: a zero pivot ends the sweep."""
+    raise BreakdownError(row, f"zero pivot in row {row}")
+
+
+def _float_inputs(matrix, kernel: Kernel) -> tuple[list, list]:
+    inputs = kernel_inputs(matrix, kernel, lambda arr, name: arr.tolist())
+    if matrix.is_exact:
+        return inputs, [0] * matrix.n
+    rows = np.abs(np.vstack([getattr(matrix, name)
+                             for name in _SHAPES[kernel.shape][3]]))
+    return inputs, (PIVOT_RTOL * rows.max(axis=0)).tolist()
+
+
+def _as_array(x: list, like: np.ndarray) -> np.ndarray:
+    if like.dtype == object:
+        return np.array(x, dtype=object)
+    return np.asarray(x, dtype=np.float64)
+
+
+def factorize(matrix, kernel: Kernel) -> Callable[[np.ndarray], list]:
+    """Factor matrix once under the float pivot policy; the returned
+    function solves for one right-hand side per call."""
+    factors = kernel.factor(*_float_inputs(matrix, kernel), raise_breakdown)
+    return lambda rhs: kernel.solve(factors, rhs.tolist())
+
+
+def _float_solve(system: LinearSystem, solver_id: str) -> SolveReport:
+    kernel = SOLVERS[solver_id].kernel
+    m = system.matrix
+    inputs, thr = _float_inputs(m, kernel)
+    f = system.rhs.tolist()
+    start = perf_counter()
+    x = kernel.solve(kernel.factor(inputs, thr, raise_breakdown), f)
+    wall = perf_counter() - start
+    x = _as_array(x, system.rhs)
+    return SolveReport(x, op_count(kernel, m), wall,
+                       sup_norm(m.matvec(x) - system.rhs), solver_id)
 
 
 def solve_pd_lu(system: LinearSystem) -> SolveReport:
     """Dense-band pentadiagonal LU without pivoting ("NPDM")."""
-    m = system.matrix
-    if not isinstance(m, PentaMatrix):
-        raise TypeError("solve_pd_lu expects a pentadiagonal system")
-    n = m.n
-    if n < 3:
-        raise ValueError("pentadiagonal solver needs N >= 3")
-    e = m.d2m.tolist()
-    c = m.d1m.tolist()
-    d = m.d0.tolist()
-    a = m.d1p.tolist()
-    b = m.d2p.tolist()
-    f = system.rhs.tolist()
-    thr = _pivot_thresholds((m.d2m, m.d1m, m.d0, m.d1p, m.d2p))
-
-    u = [0] * n
-    v = [0] * n
-    w = [0] * n
-    l1 = [0] * n
-    l2 = [0] * n
-    y = [0] * n
-    x = [0] * n
-    ops = 0
-
-    start = perf_counter()
-    # factorization: A = L U with unit lower bands l1, l2 and upper bands
-    # u (main), v (+1), w (+2); w rows copy straight from b
-    u[0] = d[0]
-    if u[0] == 0 or abs(u[0]) < thr[0]:
-        raise BreakdownError(0, "zero pivot in row 0")
-    v[0] = a[0]
-    w[0] = b[0]
-    l1[1] = c[1] / u[0]
-    u[1] = d[1] - l1[1] * v[0]
-    ops += 3
-    if u[1] == 0 or abs(u[1]) < thr[1]:
-        raise BreakdownError(1, "zero pivot in row 1")
-    v[1] = a[1] - l1[1] * w[0]
-    ops += 2
-    if n >= 4:
-        w[1] = b[1]
-    for i in range(2, n):
-        l2[i] = e[i] / u[i - 2]
-        l1[i] = (c[i] - l2[i] * v[i - 2]) / u[i - 1]
-        u[i] = d[i] - l2[i] * w[i - 2] - l1[i] * v[i - 1]
-        ops += 8
-        if u[i] == 0 or abs(u[i]) < thr[i]:
-            raise BreakdownError(i, f"zero pivot in row {i}")
-        if i <= n - 2:
-            v[i] = a[i] - l1[i] * w[i - 1]
-            ops += 2
-        if i <= n - 3:
-            w[i] = b[i]
-    # forward substitution L y = f
-    y[0] = f[0]
-    y[1] = f[1] - l1[1] * y[0]
-    ops += 2
-    for i in range(2, n):
-        y[i] = f[i] - l1[i] * y[i - 1] - l2[i] * y[i - 2]
-        ops += 4
-    # back substitution U x = y
-    x[n - 1] = y[n - 1] / u[n - 1]
-    x[n - 2] = (y[n - 2] - v[n - 2] * x[n - 1]) / u[n - 2]
-    ops += 4
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - v[i] * x[i + 1] - w[i] * x[i + 2]) / u[i]
-        ops += 5
-    wall = perf_counter() - start
-
-    return _wrap(x, system, ops, wall, "NPDM")
+    return _float_solve(system, "NPDM")
 
 
 def solve_pd_modified(system: LinearSystem) -> SolveReport:
-    """Sparsity-aware pentadiagonal elimination ("MNPDM").
-
-    Rows listed in full_rows get the five-term normalized recurrences; all
-    other rows are known to carry no outer entries and run tridiagonal-style
-    ones.  The back substitution is uniform (the second super-diagonal
-    coefficient of a reduced row is stored as zero), so the row-type
-    check-up happens once per row, in the forward pass.
-    """
-    m = system.matrix
-    if not isinstance(m, PentaMatrix):
-        raise TypeError("solve_pd_modified expects a pentadiagonal system")
-    n = m.n
-    if n < 3:
-        raise ValueError("pentadiagonal solver needs N >= 3")
-    e = m.d2m.tolist()
-    c = m.d1m.tolist()
-    d = m.d0.tolist()
-    a = m.d1p.tolist()
-    b = m.d2p.tolist()
-    f = system.rhs.tolist()
-    thr = _pivot_thresholds((m.d2m, m.d1m, m.d0, m.d1p, m.d2p))
-    is_full = [False] * n
-    for i in m.full_rows:
-        is_full[i] = True
-
-    alpha = [0] * n
-    beta = [0] * n
-    z = [0] * n
-    x = [0] * n
-    ops = 0
-
-    start = perf_counter()
-    # row 0: x_0 + alpha_0 x_1 + beta_0 x_2 = z_0
-    mu = d[0]
-    if mu == 0 or abs(mu) < thr[0]:
-        raise BreakdownError(0, "zero pivot in row 0")
-    inv = 1 / mu
-    alpha[0] = a[0] * inv
-    z[0] = f[0] * inv
-    ops += 3
-    if is_full[0] and n > 2:
-        beta[0] = b[0] * inv
-        ops += 1
-    for i in range(1, n):
-        if is_full[i]:
-            if i >= 2:
-                gam = c[i] - alpha[i - 2] * e[i]
-                mu = d[i] - beta[i - 2] * e[i] - alpha[i - 1] * gam
-                ops += 6
-            else:
-                gam = c[i]
-                mu = d[i] - alpha[i - 1] * gam
-                ops += 2
-            if mu == 0 or abs(mu) < thr[i]:
-                raise BreakdownError(i, f"zero pivot in row {i}")
-            inv = 1 / mu
-            ops += 1
-            if i <= n - 2:
-                alpha[i] = (a[i] - beta[i - 1] * gam) * inv
-                ops += 3
-            if i <= n - 3:
-                beta[i] = b[i] * inv
-                ops += 1
-            if i >= 2:
-                z[i] = (f[i] - e[i] * z[i - 2] - gam * z[i - 1]) * inv
-                ops += 5
-            else:
-                z[i] = (f[i] - gam * z[i - 1]) * inv
-                ops += 3
-        else:
-            gam = c[i]
-            mu = d[i] - alpha[i - 1] * gam
-            ops += 2
-            if mu == 0 or abs(mu) < thr[i]:
-                raise BreakdownError(i, f"zero pivot in row {i}")
-            inv = 1 / mu
-            ops += 1
-            if i <= n - 2:
-                alpha[i] = (a[i] - beta[i - 1] * gam) * inv
-                ops += 3
-            z[i] = (f[i] - gam * z[i - 1]) * inv
-            ops += 3
-    # uniform back substitution; beta of reduced rows is zero
-    x[n - 1] = z[n - 1]
-    x[n - 2] = z[n - 2] - alpha[n - 2] * x[n - 1]
-    ops += 2
-    for i in range(n - 3, -1, -1):
-        x[i] = z[i] - alpha[i] * x[i + 1] - beta[i] * x[i + 2]
-        ops += 4
-    wall = perf_counter() - start
-
-    return _wrap(x, system, ops, wall, "MNPDM")
+    """Sparsity-aware pentadiagonal elimination ("MNPDM")."""
+    return _float_solve(system, "MNPDM")
 
 
 def solve_td_thomas(system: LinearSystem) -> SolveReport:
     """Normalized Thomas sweep for tridiagonal systems ("NTDM")."""
-    m = system.matrix
-    if not isinstance(m, TriMatrix):
-        raise TypeError("solve_td_thomas expects a tridiagonal system")
-    n = m.n
-    if n < 2:
-        raise ValueError("tridiagonal solver needs N >= 2")
-    c = m.sub.tolist()
-    d = m.diag.tolist()
-    a = m.sup.tolist()
-    f = system.rhs.tolist()
-    thr = _pivot_thresholds((m.sub, m.diag, m.sup))
+    return _float_solve(system, "NTDM")
 
-    sp = [0] * n
-    z = [0] * n
-    x = [0] * n
-    ops = 0
 
-    start = perf_counter()
-    den = d[0]
-    if den == 0 or abs(den) < thr[0]:
-        raise BreakdownError(0, "zero pivot in row 0")
-    inv = 1 / den
-    sp[0] = a[0] * inv
-    z[0] = f[0] * inv
-    ops += 3
-    for i in range(1, n - 1):
-        den = d[i] - c[i] * sp[i - 1]
-        ops += 2
-        if den == 0 or abs(den) < thr[i]:
-            raise BreakdownError(i, f"zero pivot in row {i}")
-        inv = 1 / den
-        sp[i] = a[i] * inv
-        z[i] = (f[i] - c[i] * z[i - 1]) * inv
-        ops += 5
-    den = d[n - 1] - c[n - 1] * sp[n - 2]
-    ops += 2
-    if den == 0 or abs(den) < thr[n - 1]:
-        raise BreakdownError(n - 1, f"zero pivot in row {n - 1}")
-    z[n - 1] = (f[n - 1] - c[n - 1] * z[n - 2]) / den
-    ops += 3
-    x[n - 1] = z[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = z[i] - sp[i] * x[i + 1]
-        ops += 2
-    wall = perf_counter() - start
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
 
-    return _wrap(x, system, ops, wall, "NTDM")
+class Solver(NamedTuple):
+    """A solver: its kernel (and so its band shape), its arithmetic, and the
+    module and name of its public entry point.  The module also provides
+    factorize(matrix, kernel) under the solver's pivot policy.  Both are
+    looked up at call time, so a rebinding (a tracer's wrapper) is seen."""
+
+    kernel: Kernel
+    exact: bool
+    module: str
+    entry: str
+
+    def entry_point(self) -> Callable:
+        return getattr(import_module(f"{__package__}.{self.module}"), self.entry)
+
+    def solution(self, system: LinearSystem) -> np.ndarray:
+        out = self.entry_point()(system)
+        return np.array(out, dtype=object) if self.exact else out.solution
+
+    def factorize(self, matrix) -> Callable[[np.ndarray], np.ndarray]:
+        """Factor matrix once; the returned function maps a right-hand side
+        to the solution array."""
+        module = import_module(f"{__package__}.{self.module}")
+        back_solve = module.factorize(matrix, self.kernel)
+        return lambda rhs: _as_array(back_solve(rhs), rhs)
+
+
+SOLVERS = {
+    "NPDM": Solver(LU, False, "band_solvers", "solve_pd_lu"),
+    "MNPDM": Solver(MODIFIED, False, "band_solvers", "solve_pd_modified"),
+    "NTDM": Solver(THOMAS, False, "band_solvers", "solve_td_thomas"),
+    "SPDM": Solver(LU, True, "exact_solvers", "exact_solve_pd"),
+    "STDM": Solver(THOMAS, True, "exact_solvers", "exact_solve_td"),
+}

@@ -15,11 +15,13 @@ its recovered solution against y_bar.  No PDE ground truth is needed and
 exact solvers must reproduce y_bar exactly (error 0).
 
 Wall-clock entries are medians over `repetitions` runs after one discarded
-warm-up.  Operation counts come from the solvers' own tallies; the
-reference operation laws are 19N - 29 (NPDM), 13N + 7K - 14 (MNPDM) and
-9N + 2 (NTDM).  This implementation's counts match the N and K slopes of
-those laws exactly; its constants are -29, -8 and -8 and are reported next
-to the references.
+warm-up.  Operation counts are the float solvers' closed forms
+(band_solvers.op_count).  verify_op_counts holds them to a count of the
+kernels' arithmetic: it factors and solves each system over CountingFloat,
+a float that tallies every +, -, * and /.  The reference operation laws are
+19N - 29 (NPDM), 13N + 7K - 14 (MNPDM) and 9N + 2 (NTDM).  The counts match
+the N and K slopes of those laws exactly; their constants are -29, -8 and
+-8 and are reported next to the references.
 """
 
 from __future__ import annotations
@@ -38,17 +40,12 @@ import numpy as np
 
 from .assembly import (LinearSystem, PentaMatrix, TriMatrix, assemble_system,
                        contact_conductivities)
-from .band_solvers import (BreakdownError, SOLVER_IDS, solve_pd_lu,
-                           solve_pd_modified, solve_td_thomas)
+from .band_solvers import (SOLVERS, BreakdownError, kernel_inputs,
+                           raise_breakdown, sup_norm)
 from .conditioning import build_pd_shift, build_td_shift, pd_to_td
-from .exact_solvers import exact_solve_pd, exact_solve_td
 from .materials import MaterialModel, Polynomial
 from .mesh import LayerSpec, RadialMesh, build_mesh
 from .time_stepper import StepConfig, TemperatureField, run
-
-NUMERICAL_SOLVERS = ("NPDM", "MNPDM", "NTDM")
-EXACT_SOLVERS = ("SPDM", "STDM")
-PD_PATH = ("NPDM", "MNPDM", "SPDM")
 
 #: Default problem sizes, mirroring the published experiment tiers.
 DEFAULT_N_TIERS = (10**3, 10**4, 10**5)
@@ -83,7 +80,7 @@ class BenchScenario:
 
     n_values: tuple[int, ...] = DEFAULT_N_TIERS
     k: int = 11
-    solvers: tuple[str, ...] = SOLVER_IDS
+    solvers: tuple[str, ...] = tuple(SOLVERS)
     repetitions: int = 5
     seed: int = 0
     exact_cap: int = 2 * 10**4
@@ -93,7 +90,7 @@ class BenchScenario:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "solvers", tuple(self.solvers))
         for s in self.solvers:
-            if s not in SOLVER_IDS:
+            if s not in SOLVERS:
                 raise ScenarioError(f"unknown solver {s!r}")
         if self.repetitions < 1:
             raise ScenarioError("repetitions must be >= 1")
@@ -293,21 +290,6 @@ def make_random_system(n: int, k: int, rng, exact: bool = False,
 # bench
 # ---------------------------------------------------------------------------
 
-_NUMERICAL_FN = {
-    "NPDM": solve_pd_lu,
-    "MNPDM": solve_pd_modified,
-    "NTDM": solve_td_thomas,
-}
-_EXACT_FN = {"SPDM": exact_solve_pd, "STDM": exact_solve_td}
-
-
-def _err_inf(x, y):
-    diff = np.asarray(x) - np.asarray(y)
-    if diff.dtype == object:
-        return max(abs(v) for v in diff.tolist())
-    return float(np.max(np.abs(diff)))
-
-
 def bench(scenario: BenchScenario) -> list[BenchRow]:
     """Run the benchmark campaign; one row per (N, solver).
 
@@ -315,46 +297,43 @@ def bench(scenario: BenchScenario) -> list[BenchRow]:
     deterministic for a fixed seed except for the wall-clock column.
     """
     rows = []
-    need_exact = any(s in EXACT_SOLVERS for s in scenario.solvers)
+    need_exact = any(SOLVERS[s].exact for s in scenario.solvers)
     for n in scenario.n_values:
         float_case = build_bench_case(n, scenario.k, scenario.seed, exact=False)
         exact_case = None
         if need_exact and n <= scenario.exact_cap:
             exact_case = build_bench_case(n, scenario.k, scenario.seed, exact=True)
         for solver in scenario.solvers:
-            path = "pd-shift" if solver in PD_PATH else "td-shift"
-            if solver in EXACT_SOLVERS:
-                if exact_case is None:
-                    rows.append(BenchRow(n, solver, float("nan"), None,
-                                         float("nan"), path,
-                                         f"skipped: n > exact cap {scenario.exact_cap}"))
-                    continue
-                system = (exact_case.pd_system if solver == "SPDM"
-                          else exact_case.td_system)
-                fn = _EXACT_FN[solver]
-                walls = []
-                x = None
+            spec = SOLVERS[solver]
+            path = f"{spec.kernel.shape}-shift"
+            case = exact_case if spec.exact else float_case
+            if case is None:
+                rows.append(BenchRow(n, solver, float("nan"), None,
+                                     float("nan"), path,
+                                     f"skipped: n > exact cap {scenario.exact_cap}"))
+                continue
+            system = case.pd_system if spec.kernel.shape == "pd" else case.td_system
+            fn = spec.entry_point()
+            runs = []
+            try:
                 for _ in range(scenario.repetitions + 1):
                     t0 = perf_counter()
-                    x = fn(system)
-                    walls.append(perf_counter() - t0)
-                err = _err_inf(x, exact_case.y_bar)
-                rows.append(BenchRow(n, solver, median(walls[1:]), None, err, path))
+                    runs.append((fn(system), perf_counter() - t0))
+            except BreakdownError as exc:
+                rows.append(BenchRow(n, solver, float("nan"), None,
+                                     float("nan"), path,
+                                     f"breakdown at row {exc.row}"))
+                continue
+            out = runs[-1][0]
+            if spec.exact:  # exact solvers report no time of their own
+                wall = median(t for _, t in runs[1:])
+                rows.append(BenchRow(n, solver, wall, None,
+                                     sup_norm(np.asarray(out) - case.y_bar),
+                                     path))
             else:
-                system = (float_case.pd_system if solver in PD_PATH
-                          else float_case.td_system)
-                fn = _NUMERICAL_FN[solver]
-                try:
-                    reports = [fn(system) for _ in range(scenario.repetitions + 1)]
-                except BreakdownError as exc:
-                    rows.append(BenchRow(n, solver, float("nan"), None,
-                                         float("nan"), path,
-                                         f"breakdown at row {exc.row}"))
-                    continue
-                walls = [r.wall_time for r in reports[1:]]
-                err = _err_inf(reports[-1].solution, float_case.y_bar)
-                rows.append(BenchRow(n, solver, median(walls), reports[-1].op_count,
-                                     err, path))
+                wall = median(r.wall_time for r, _ in runs[1:])
+                rows.append(BenchRow(n, solver, wall, out.op_count,
+                                     sup_norm(out.solution - case.y_bar), path))
     return rows
 
 
@@ -388,67 +367,96 @@ class OpCountReport:
                        f"{c.expected}, measured {c.measured}")
         for solver, (measured, reference) in self.constants.items():
             out.append(f"note {solver}: measured constant {measured:+d} "
-                       f"(reference law constant {reference:+d}; slopes are "
-                       f"the pass condition)")
+                       f"(reference law constant {reference:+d}; not a pass "
+                       f"condition)")
         return out
+
+
+class CountingFloat(float):
+    """A float that adds one to its tally, a one-item list shared by the
+    values of one count, for every +, -, * and / it takes part in.
+    Comparisons and abs() are not counted."""
+
+    __slots__ = ("tally",)
+
+    def __new__(cls, value, tally):
+        self = super().__new__(cls, value)
+        self.tally = tally
+        return self
+
+
+def _counted(op):
+    def method(self, other):
+        self.tally[0] += 1
+        return CountingFloat(op(self, other), self.tally)
+    return method
+
+
+for _op in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+    setattr(CountingFloat, f"__{_op}__", _counted(getattr(float, f"__{_op}__")))
+
+
+def count_ops(solver: str, system: LinearSystem) -> int:
+    """Operations that the solver's kernel performs in one factor and one
+    solve of system, counted over CountingFloat."""
+    kernel = SOLVERS[solver].kernel
+    tally = [0]
+
+    def counting(arr, name=None):
+        return [CountingFloat(v, tally) for v in arr.tolist()]
+
+    factors = kernel.factor(kernel_inputs(system.matrix, kernel, counting),
+                            [0] * system.matrix.n, raise_breakdown)
+    kernel.solve(factors, counting(system.rhs))
+    return tally[0]
 
 
 def verify_op_counts(n_values=(1000, 2000, 4000), k_values=(0, 5, 12),
                      seed: int = 0) -> OpCountReport:
-    """Check that counted operations follow the reference N and K slopes.
+    """Check the reported operation counts against counted ones.
 
-    NPDM must gain exactly 19 operations per node (and be K-independent),
-    MNPDM 13 per node plus 7 per contact row, NTDM 9 per node.  Measured
-    affine constants are reported for comparison against the reference laws.
+    Every system is solved by the float entry point and also factored and
+    solved over CountingFloat; the reported op_count, a closed form, must
+    equal the tally.  The tallies must follow the N and K slopes of
+    REFERENCE_LAWS: NPDM gains exactly 19 operations per node (and none per
+    contact row), MNPDM 13 per node plus 7 per contact row, NTDM 9 per
+    node.  Measured affine constants are reported next to the references.
     """
     rng = np.random.default_rng(seed)
     n_values = tuple(sorted(n_values))
     k_values = tuple(sorted(k_values))
-    k_fix = k_values[-1]
+    n_fix, k_fix = n_values[-1], k_values[-1]
     checks = []
+    constants = {}
 
-    counts_pd = {}
-    for n in n_values:
-        sys_pd = make_random_system(n, k_fix, rng)
-        counts_pd[n] = {
-            "NPDM": solve_pd_lu(sys_pd).op_count,
-            "MNPDM": solve_pd_modified(sys_pd).op_count,
-        }
-    counts_td = {n: solve_td_thomas(make_random_system(n, 0, rng, kind="td")).op_count
-                 for n in n_values}
+    def counted(solver, n, k):
+        shape = SOLVERS[solver].kernel.shape
+        system = make_random_system(n, k, rng, kind=shape)
+        ops = count_ops(solver, system)
+        reported = SOLVERS[solver].entry_point()(system).op_count
+        checks.append(OpCountCheck(solver, f"reported op_count at N={n}, K={k}",
+                                   ops, reported, reported == ops))
+        return ops
 
-    for solver, slope in (("NPDM", 19), ("MNPDM", 13)):
+    for solver, (n_slope, k_slope, reference) in REFERENCE_LAWS.items():
+        pentadiagonal = SOLVERS[solver].kernel.shape == "pd"
+        k = k_fix if pentadiagonal else 0
+        by_n = {n: counted(solver, n, k) for n in n_values}
         for n1, n2 in zip(n_values, n_values[1:]):
-            measured = (counts_pd[n2][solver] - counts_pd[n1][solver]) / (n2 - n1)
+            measured = (by_n[n2] - by_n[n1]) / (n2 - n1)
             checks.append(OpCountCheck(
-                solver, f"N-slope over ({n1},{n2}) at K={k_fix}",
-                slope, measured, measured == slope))
-    for n1, n2 in zip(n_values, n_values[1:]):
-        measured = (counts_td[n2] - counts_td[n1]) / (n2 - n1)
-        checks.append(OpCountCheck("NTDM", f"N-slope over ({n1},{n2})",
-                                   9, measured, measured == 9))
-
-    n_fix = n_values[-1]
-    by_k = {k: {s: fn(make_random_system(n_fix, k, rng)).op_count
-                for s, fn in (("NPDM", solve_pd_lu), ("MNPDM", solve_pd_modified))}
-            for k in k_values}
-    for k1, k2 in zip(k_values, k_values[1:]):
-        measured = by_k[k2]["MNPDM"] - by_k[k1]["MNPDM"]
-        expected = 7 * (k2 - k1)
-        checks.append(OpCountCheck(
-            "MNPDM", f"K-step over ({k1},{k2}) at N={n_fix}",
-            expected, measured, measured == expected))
-        same = by_k[k2]["NPDM"] == by_k[k1]["NPDM"]
-        checks.append(OpCountCheck(
-            "NPDM", f"K-independence over ({k1},{k2}) at N={n_fix}",
-            0, by_k[k2]["NPDM"] - by_k[k1]["NPDM"], same))
-
-    constants = {
-        "NPDM": (counts_pd[n_fix]["NPDM"] - 19 * n_fix, REFERENCE_LAWS["NPDM"][2]),
-        "MNPDM": (counts_pd[n_fix]["MNPDM"] - 13 * n_fix - 7 * k_fix,
-                  REFERENCE_LAWS["MNPDM"][2]),
-        "NTDM": (counts_td[n_fix] - 9 * n_fix, REFERENCE_LAWS["NTDM"][2]),
-    }
+                solver, f"N-slope over ({n1},{n2}) at K={k}",
+                n_slope, measured, measured == n_slope))
+        constants[solver] = (by_n[n_fix] - n_slope * n_fix - k_slope * k,
+                             reference)
+        if pentadiagonal:
+            by_k = {kk: counted(solver, n_fix, kk) for kk in k_values}
+            for k1, k2 in zip(k_values, k_values[1:]):
+                expected = k_slope * (k2 - k1)
+                measured = by_k[k2] - by_k[k1]
+                checks.append(OpCountCheck(
+                    solver, f"K-step over ({k1},{k2}) at N={n_fix}",
+                    expected, measured, measured == expected))
     return OpCountReport(checks, constants)
 
 
@@ -655,7 +663,7 @@ def _fmt_err(err) -> str:
     if err is None:
         return ""
     if isinstance(err, float):
-        return repr(err)
+        return repr(float(err))
     return str(err)  # exact scalars print exactly ("0")
 
 

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .band_solvers import SOLVER_IDS, BreakdownError
+from .band_solvers import SOLVERS, BreakdownError
 from .bench import (BenchScenario, ScenarioError, bench, convergence_study,
                     emit, manufactured_single_layer, manufactured_two_layer,
                     verify_op_counts)
@@ -35,9 +35,9 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _solver_list(text: str) -> tuple[str, ...]:
     solvers = tuple(tok.strip().upper() for tok in text.replace(",", " ").split())
     for s in solvers:
-        if s not in SOLVER_IDS:
+        if s not in SOLVERS:
             raise argparse.ArgumentTypeError(
-                f"unknown solver {s!r} (choose from {', '.join(SOLVER_IDS)})")
+                f"unknown solver {s!r} (choose from {', '.join(SOLVERS)})")
     return solvers
 
 
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, default=(10**3, 10**4, 10**5),
                    help="comma-separated problem sizes")
     p.add_argument("--k", type=int, default=11, help="number of contact rows")
-    p.add_argument("--solvers", type=_solver_list, default=SOLVER_IDS)
+    p.add_argument("--solvers", type=_solver_list, default=tuple(SOLVERS))
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV output path")
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u0", type=float, default=1.0,
                    help="uniform initial temperature")
     p.add_argument("--solver", default="NTDM",
-                   choices=["NPDM", "MNPDM", "NTDM"])
+                   choices=[s for s, spec in SOLVERS.items() if not spec.exact])
     p.add_argument("--shift", default="corrected", choices=SHIFT_MODES,
                    help="corrected: solve the unshifted system exactly "
                         "through the dominance shift; pd, td: the paper's "

@@ -1,14 +1,16 @@
 """Exact rational solvers ("SPDM"/"STDM") with a deferred zero pivot.
 
-These run the same banded eliminations as the numerical solvers but over
-exact rational scalars, so the residual of every solve is exactly zero and
-no dominance assumption is needed: when a pivot (a quotient of consecutive
-leading principal minors) evaluates to exactly zero, a formal parameter eps
-is substituted and the sweep continues over rational functions of eps.
-After back substitution every component is finalized by taking the limit
-eps -> 0 (common eps factors are cancelled first; individual intermediates
-may be singular at eps = 0 while the solution is regular).  A pole at
-eps = 0 that survives cancellation means the matrix itself is singular.
+SPDM and STDM run the LU and THOMAS kernels of band_solvers, the same code
+as NPDM and NTDM, over exact rational scalars, so the residual of every
+solve is exactly zero and no dominance assumption is needed.  Only the
+pivot policy differs: the thresholds are zero, and when a pivot (a quotient
+of consecutive leading principal minors) is exactly zero the kernel's
+on_zero action substitutes a formal parameter eps, and the sweep continues
+over rational functions of eps.  After back substitution every component
+is finalized by taking the limit eps -> 0 (common eps factors are cancelled
+first; individual intermediates may be singular at eps = 0 while the
+solution is regular).  A pole at eps = 0 that survives cancellation means
+the matrix itself is singular.
 
 Accepted scalars are ints, fractions.Fraction and compatible exact rational
 types such as gmpy2.mpq; floats are rejected.  DeferredScalar keeps its
@@ -19,10 +21,12 @@ every operation, which bounds degree growth through the recurrences.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .assembly import LinearSystem, PentaMatrix, TriMatrix
+from .assembly import LinearSystem
+from .band_solvers import SOLVERS, Kernel, kernel_inputs
 
 #: Exact scalar type used for coefficients produced by this module.
 ExactScalar = Fraction
@@ -224,12 +228,6 @@ class DeferredScalar:
         return f"DeferredScalar(num={self.num!r}, den={self.den!r})"
 
 
-def _is_zero(value) -> bool:
-    if isinstance(value, DeferredScalar):
-        return value.is_zero
-    return value == 0
-
-
 def _finalize(value):
     if isinstance(value, DeferredScalar):
         return value.finalize()
@@ -250,72 +248,32 @@ def _exact_list(arr, what: str) -> list:
     return out
 
 
-def _pivot(value):
-    """Return the pivot to divide by, deferring exact zeros to eps."""
-    if _is_zero(value):
-        return DeferredScalar.epsilon()
-    return value
+def _defer(row: int) -> DeferredScalar:
+    """Exact pivot policy: a zero pivot becomes the formal eps."""
+    return DeferredScalar.epsilon()
 
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
+def factorize(matrix, kernel: Kernel) -> Callable[[np.ndarray], list]:
+    """Factor matrix once under the exact pivot policy; the returned function
+    solves for one right-hand side per call and finalizes (eps -> 0)."""
+    factors = kernel.factor(kernel_inputs(matrix, kernel, _exact_list),
+                            [0] * matrix.n, _defer)
+    return lambda rhs: [_finalize(v) for v in
+                        kernel.solve(factors, _exact_list(rhs, "rhs"))]
+
+
 def exact_solve_pd(system: LinearSystem) -> list:
     """Exact pentadiagonal LU solve ("SPDM").
 
-    Same unit-lower LU sweep as the numerical pentadiagonal solver, run over
-    exact scalars; zero pivots are deferred to eps.  Returns a list of exact
-    scalars whose residual is exactly zero.
+    The LU kernel of the numerical NPDM, run over exact scalars; zero pivots
+    are deferred to eps.  Returns a list of exact scalars whose residual is
+    exactly zero.
     """
-    m = system.matrix
-    if not isinstance(m, PentaMatrix):
-        raise TypeError("exact_solve_pd expects a pentadiagonal system")
-    n = m.n
-    if n < 3:
-        raise ValueError("pentadiagonal solver needs N >= 3")
-    e = _exact_list(m.d2m, "d2m")
-    c = _exact_list(m.d1m, "d1m")
-    d = _exact_list(m.d0, "d0")
-    a = _exact_list(m.d1p, "d1p")
-    b = _exact_list(m.d2p, "d2p")
-    f = _exact_list(system.rhs, "rhs")
-
-    u = [0] * n
-    v = [0] * n
-    w = [0] * n
-    l1 = [0] * n
-    l2 = [0] * n
-
-    u[0] = _pivot(d[0])
-    v[0] = a[0]
-    w[0] = b[0]
-    l1[1] = c[1] / u[0]
-    u[1] = _pivot(d[1] - l1[1] * v[0])
-    v[1] = a[1] - l1[1] * w[0]
-    if n >= 4:
-        w[1] = b[1]
-    for i in range(2, n):
-        l2[i] = e[i] / u[i - 2]
-        l1[i] = (c[i] - l2[i] * v[i - 2]) / u[i - 1]
-        u[i] = _pivot(d[i] - l2[i] * w[i - 2] - l1[i] * v[i - 1])
-        if i <= n - 2:
-            v[i] = a[i] - l1[i] * w[i - 1]
-        if i <= n - 3:
-            w[i] = b[i]
-
-    y = [0] * n
-    y[0] = f[0]
-    y[1] = f[1] - l1[1] * y[0]
-    for i in range(2, n):
-        y[i] = f[i] - l1[i] * y[i - 1] - l2[i] * y[i - 2]
-
-    x = [0] * n
-    x[n - 1] = y[n - 1] / u[n - 1]
-    x[n - 2] = (y[n - 2] - v[n - 2] * x[n - 1]) / u[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - v[i] * x[i + 1] - w[i] * x[i + 2]) / u[i]
-    return [_finalize(xi) for xi in x]
+    return factorize(system.matrix, SOLVERS["SPDM"].kernel)(system.rhs)
 
 
 def exact_solve_td(system: LinearSystem) -> list:
@@ -331,32 +289,4 @@ def exact_solve_td(system: LinearSystem) -> list:
     eps = 0 and raises SingularMatrixError; a singular but consistent system
     has a finite limit and yields one member of its solution set.
     """
-    m = system.matrix
-    if not isinstance(m, TriMatrix):
-        raise TypeError("exact_solve_td expects a tridiagonal system")
-    n = m.n
-    if n < 2:
-        raise ValueError("tridiagonal solver needs N >= 2")
-    c = _exact_list(m.sub, "sub")
-    d = _exact_list(m.diag, "diag")
-    a = _exact_list(m.sup, "sup")
-    f = _exact_list(system.rhs, "rhs")
-
-    sp = [0] * n
-    z = [0] * n
-
-    den = _pivot(d[0])
-    sp[0] = a[0] / den
-    z[0] = f[0] / den
-    for i in range(1, n - 1):
-        den = _pivot(d[i] - c[i] * sp[i - 1])
-        sp[i] = a[i] / den
-        z[i] = (f[i] - c[i] * z[i - 1]) / den
-    den = _pivot(d[n - 1] - c[n - 1] * sp[n - 2])
-    z[n - 1] = (f[n - 1] - c[n - 1] * z[n - 2]) / den
-
-    x = [0] * n
-    x[n - 1] = z[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = z[i] - sp[i] * x[i + 1]
-    return [_finalize(xi) for xi in x]
+    return factorize(system.matrix, SOLVERS["STDM"].kernel)(system.rhs)

@@ -16,8 +16,9 @@ current iterate.  Four shift modes decide how that system is solved:
   M = A + P the dominant, pivot-free matrix and P diagonal and nonzero on a
   few rows only, so the Sherman-Morrison-Woodbury (capacitance matrix)
   formula needs one solve with M per nonzero row of P plus one for the
-  right-hand side, and a small dense solve.  Picard then iterates only on
-  the nonlinear coefficients.
+  right-hand side, and a small dense solve.  M is factored once and each
+  of those solves reuses its factors.  Picard then iterates only on the
+  nonlinear coefficients.
 
 The converged limit is independent of the shift mode.  Iteration stops when
 the sup-norm update is at most picard_tol times the sup norm of the new
@@ -36,18 +37,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import assemble_system
-from .band_solvers import (solve_pd_lu, solve_pd_modified, solve_td_thomas,
-                           sup_norm)
+from .assembly import LinearSystem, assemble_system, contact_conductivities
+from .band_solvers import SOLVERS, Solver, sup_norm
 from .conditioning import ShiftDiag, build_pd_shift, build_td_shift, pd_to_td
-from .exact_solvers import SingularMatrixError, exact_solve_pd, exact_solve_td
-from .assembly import LinearSystem, contact_conductivities
+from .exact_solvers import SingularMatrixError
 from .materials import MaterialModel
 from .mesh import RadialMesh
 
-PD_SOLVERS = ("NPDM", "MNPDM", "SPDM")
-TD_SOLVERS = ("NTDM", "STDM")
-EXACT_SOLVERS = ("SPDM", "STDM")
 SHIFT_MODES = ("none", "pd", "td", "corrected")
 
 
@@ -90,14 +86,17 @@ class StepConfig:
             raise ValueError("picard_tol must be positive")
         if self.max_picard < 1:
             raise ValueError("max_picard must be >= 1")
-        if self.solver_id not in PD_SOLVERS + TD_SOLVERS:
+        if self.solver_id not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver_id!r}")
         if self.shift_mode not in SHIFT_MODES:
             raise ValueError(f"unknown shift mode {self.shift_mode!r}")
-        if self.shift_mode == "pd" and self.solver_id in TD_SOLVERS:
-            raise ValueError("tridiagonal solvers take shift_mode 'td' or 'none'")
-        if self.shift_mode == "td" and self.solver_id in PD_SOLVERS:
-            raise ValueError("pentadiagonal solvers take shift_mode 'pd' or 'none'")
+        # the fixed-point shift modes are named after the band shape they fit
+        shape = SOLVERS[self.solver_id].kernel.shape
+        modes = [m for m in SHIFT_MODES if m not in ("pd", "td") or m == shape]
+        if self.shift_mode not in modes:
+            raise ValueError(
+                f"{self.solver_id} takes shift_mode "
+                f"{', '.join(map(repr, modes))}, not {self.shift_mode!r}")
 
 
 @dataclass(eq=False)
@@ -112,20 +111,6 @@ class TemperatureField:
 
     def copy(self) -> "TemperatureField":
         return TemperatureField(self.values.copy(), self.time)
-
-
-def _solve_once(system: LinearSystem, solver_id: str):
-    if solver_id == "NPDM":
-        return solve_pd_lu(system).solution
-    if solver_id == "MNPDM":
-        return solve_pd_modified(system).solution
-    if solver_id == "NTDM":
-        return solve_td_thomas(system).solution
-    if solver_id == "SPDM":
-        return np.array(exact_solve_pd(system), dtype=object)
-    if solver_id == "STDM":
-        return np.array(exact_solve_td(system), dtype=object)
-    raise ValueError(f"unknown solver {solver_id!r}")
 
 
 def _dense_solve(matrix: list[list], rhs: list) -> list:
@@ -157,15 +142,16 @@ def _dense_solve(matrix: list[list], rhs: list) -> list:
     return x
 
 
-def _corrected_solve(system: LinearSystem, shift: ShiftDiag, solver_id: str):
+def _corrected_solve(system: LinearSystem, shift: ShiftDiag, solver: Solver):
     """Solve the unshifted system A u = rhs through the dominant M = A + P.
 
     With R the rows where P is nonzero, y = M^-1 rhs and z_j = M^-1 e_j for
     j in R, the capacitance matrix is C = diag(1/P_R) - Z[R, :] and
-    u = y + Z C^-1 y[R] (Sherman-Morrison-Woodbury).
+    u = y + Z C^-1 y[R] (Sherman-Morrison-Woodbury).  M is factored once;
+    y and every z_j are back-solves with its factors.
     """
-    shifted = shift.apply(system.matrix)
-    y = _solve_once(LinearSystem(shifted, system.rhs), solver_id)
+    back_solve = solver.factorize(shift.apply(system.matrix))
+    y = back_solve(system.rhs)
     entries = shift.entries.tolist()
     rows = [i for i, p in enumerate(entries) if p != 0]
     if not rows:
@@ -175,7 +161,7 @@ def _corrected_solve(system: LinearSystem, shift: ShiftDiag, solver_id: str):
     for j in rows:
         unit = zero.copy()
         unit[j] = 1
-        columns.append(_solve_once(LinearSystem(shifted, unit), solver_id))
+        columns.append(back_solve(unit))
     capacitance = [[-z[i] for z in columns] for i in rows]
     for a, i in enumerate(rows):
         capacitance[a][a] = capacitance[a][a] + 1 / entries[i]
@@ -195,22 +181,23 @@ def _picard_pass(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     """One Picard pass: assemble with coefficients frozen at u_iter and solve
     in cfg's shift mode.  The pass's systems die with this frame, so a
     NonConvergenceError traceback kept by a caller does not hold them."""
+    solver = SOLVERS[cfg.solver_id]
     system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
                              extra_source=extra_source)
-    if cfg.solver_id in TD_SOLVERS:
+    if solver.kernel.shape == "td":
         system = pd_to_td(system)
     if cfg.shift_mode == "none":
-        return _solve_once(system, cfg.solver_id)
-    if cfg.solver_id in TD_SOLVERS:
+        return solver.solution(system)
+    if solver.kernel.shape == "td":
         shift = build_td_shift(system.matrix)
     else:
         shift = build_pd_shift(
             mesh, contact_conductivities(mesh, materials, u_iter))
     if cfg.shift_mode == "corrected":
-        return _corrected_solve(system, shift, cfg.solver_id)
+        return _corrected_solve(system, shift, solver)
     shifted = LinearSystem(shift.apply(system.matrix),
                            system.rhs + shift.feedback(u_iter))
-    return _solve_once(shifted, cfg.solver_id)
+    return solver.solution(shifted)
 
 
 def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],

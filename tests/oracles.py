@@ -89,6 +89,26 @@ def pivoted_fraction_solve(matrix_rows, rhs):
     return x
 
 
+def fraction_det(matrix_rows):
+    """Determinant by exact Gaussian elimination with row swaps."""
+    a = [[Fraction(v) for v in row] for row in matrix_rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+    return det
+
+
 def exact_dense_rows(matrix):
     """Dense row list of a banded matrix with exact scalars preserved."""
     dense = matrix.to_dense()

@@ -12,7 +12,7 @@ from radialheat import (BreakdownError, LayerSpec, LinearSystem, MaterialModel,
                         contact_conductivities, pd_to_td, solve_pd_lu,
                         solve_pd_modified, solve_td_thomas)
 from radialheat.band_solvers import sup_norm
-from radialheat.bench import make_random_system
+from radialheat.bench import count_ops, make_random_system
 
 
 def identity_penta(n):
@@ -182,3 +182,35 @@ def test_sup_norm_propagates_nan_and_stays_exact():
     assert sup_norm(np.array([-2.5, 1.0])) == 2.5
     exact = sup_norm(np.array([Fraction(-3, 2), Fraction(1)], dtype=object))
     assert exact == Fraction(3, 2) and isinstance(exact, Fraction)
+
+
+def random_penta(n, full_rows, rng):
+    """Dominant float pentadiagonal system whose outer entries sit on
+    full_rows only."""
+    m = PentaMatrix.zeros(n, full_rows=full_rows)
+    m.d1m[1:] = rng.uniform(-1, 1, n - 1)
+    m.d1p[:-1] = rng.uniform(-1, 1, n - 1)
+    for i in full_rows:
+        if i >= 2:
+            m.d2m[i] = rng.uniform(-1, 1)
+        if i <= n - 3:
+            m.d2p[i] = rng.uniform(-1, 1)
+    m.d0[:] = 4 + rng.uniform(0, 1, n)
+    return LinearSystem(m, rng.uniform(-1, 1, n))
+
+
+def test_counted_ops_equal_reported_op_count():
+    # the closed forms against a count of the kernels' arithmetic, over
+    # sizes and full-row sets that include none and the edge rows
+    rng = np.random.default_rng(22)
+    for n in range(3, 31):
+        edges = tuple(sorted({0, 1, n - 2, n - 1}))
+        drawn = tuple(np.flatnonzero(rng.random(n) < 0.3).tolist())
+        for full_rows in ((), edges, drawn, tuple(range(n))):
+            system = random_penta(n, full_rows, rng)
+            for solver, fn in (("NPDM", solve_pd_lu),
+                               ("MNPDM", solve_pd_modified)):
+                assert count_ops(solver, system) == fn(system).op_count, \
+                    (solver, n, full_rows)
+        td = make_random_system(n, 0, rng, kind="td")
+        assert count_ops("NTDM", td) == solve_td_thomas(td).op_count

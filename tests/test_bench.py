@@ -9,9 +9,9 @@ from statistics import median
 import numpy as np
 import pytest
 
-from radialheat import (BenchScenario, StepConfig, TemperatureField, advance,
-                        bench, build_bench_case, build_mesh,
-                        convergence_study, emit, load_config,
+from radialheat import (SOLVERS, BenchScenario, StepConfig, TemperatureField,
+                        advance, band_solvers, bench, build_bench_case,
+                        build_mesh, convergence_study, emit, load_config,
                         manufactured_single_layer, manufactured_two_layer,
                         verify_op_counts)
 from radialheat.bench import ScenarioError, default_layers, spread_contacts
@@ -83,6 +83,24 @@ def test_verify_op_counts_passes_with_exact_slopes():
     assert measured["MNPDM"][0] == -8 and measured["MNPDM"][1] == -14
     assert measured["NTDM"][0] == -8 and measured["NTDM"][1] == 2
     assert any("reference law" in line for line in report.lines())
+
+
+@pytest.mark.parametrize("kernel", ["LU", "MODIFIED", "THOMAS"])
+def test_verify_op_counts_fails_on_a_wrong_closed_form(monkeypatch, kernel):
+    # the reported counts are held to counted ones, never to themselves
+    closed_form = band_solvers.op_count
+
+    def off_by_one(k, matrix):
+        return closed_form(k, matrix) + (k.name == kernel)
+
+    monkeypatch.setattr(band_solvers, "op_count", off_by_one)
+    report = verify_op_counts(n_values=(50, 100), k_values=(0, 3))
+    assert not report.passed
+    failed = {c.solver for c in report.checks if not c.passed}
+    assert failed == {s for s, spec in SOLVERS.items()
+                      if spec.kernel.name == kernel and not spec.exact}
+    assert all(c.quantity.startswith("reported op_count")
+               for c in report.checks if not c.passed)
 
 
 def test_emit_writes_csv_and_metadata(tmp_path, capsys):

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bareiss_solve, exact_dense_rows, pivoted_fraction_solve
+from oracles import (bareiss_solve, exact_dense_rows, fraction_det,
+                     pivoted_fraction_solve)
 from radialheat import (BreakdownError, DeferredScalar, ExactInputError,
                         LinearSystem, PentaMatrix, SingularMatrixError,
                         TriMatrix, exact_solve_pd, exact_solve_td, pd_to_td,
-                        solve_td_thomas)
+                        solve_pd_lu, solve_td_thomas)
 from radialheat.bench import make_random_system
 
 
@@ -115,6 +116,8 @@ def test_dominant_system_identical_to_numerical_thomas_over_fractions():
         x_exact = exact_solve_td(system)
         x_thomas = solve_td_thomas(system).solution.tolist()
         assert x_exact == x_thomas
+        penta = make_random_system(9, 1, rng, exact=True)
+        assert exact_solve_pd(penta) == solve_pd_lu(penta).solution.tolist()
 
 
 def test_engineered_zero_leading_minor_matches_pivoted_oracle():
@@ -131,6 +134,28 @@ def test_engineered_zero_leading_minor_matches_pivoted_oracle():
         system = tri(sub, diag, sup, rhs)
         ref = pivoted_fraction_solve(exact_dense_rows(system.matrix), rhs)
         assert exact_solve_td(system) == ref
+
+
+def test_spdm_zero_leading_minor_matches_pivoted_oracle():
+    # the leading (r+1) x (r+1) minor of a regular pentadiagonal matrix is
+    # made to vanish, r >= 2, so LU pivot r is exactly zero: NPDM breaks down
+    # there and SPDM must defer it to eps
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        system = make_random_system(9, 2, rng, exact=True)
+        m = system.matrix
+        r = int(rng.integers(2, 7))
+        rows = exact_dense_rows(m)
+        lead = fraction_det([row[:r] for row in rows[:r]])
+        m.d0[r] -= fraction_det([row[:r + 1] for row in rows[:r + 1]]) / lead
+        rows = exact_dense_rows(m)
+        assert fraction_det([row[:r + 1] for row in rows[:r + 1]]) == 0
+        assert fraction_det(rows) != 0
+        with pytest.raises(BreakdownError) as err:
+            solve_pd_lu(system)
+        assert err.value.row == r
+        ref = pivoted_fraction_solve(rows, system.rhs.tolist())
+        assert exact_solve_pd(system) == ref
 
 
 def test_exact_td_residual_exactly_zero_and_eps_free():

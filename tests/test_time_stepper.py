@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from radialheat import (LayerSpec, LinearSystem, MaterialModel,
+from radialheat import (SOLVERS, LayerSpec, LinearSystem, MaterialModel,
                         NonConvergenceError, Polynomial, StepConfig,
-                        TemperatureField, advance, build_mesh, run)
+                        TemperatureField, advance, assemble_system,
+                        build_mesh, build_pd_shift, build_td_shift,
+                        contact_conductivities, pd_to_td, run)
+from radialheat import band_solvers, time_stepper
 
 LINEAR_MATERIALS = {
     "a": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)), Polynomial((2.0,))),
@@ -167,14 +170,57 @@ def test_exact_linear_advance_single_iteration():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau must be positive"):
         StepConfig(tau=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="NTDM takes shift_mode 'none', 'td', "
+                                         "'corrected', not 'pd'"):
         StepConfig(tau=0.1, solver_id="NTDM", shift_mode="pd")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="NPDM takes shift_mode 'none', 'pd', "
+                                         "'corrected', not 'td'"):
         StepConfig(tau=0.1, solver_id="NPDM", shift_mode="td")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_picard must be >= 1"):
         StepConfig(tau=0.1, max_picard=0)
     assert StepConfig(tau=0.1).shift_mode == "corrected"
     for solver in ("NPDM", "MNPDM", "NTDM", "SPDM", "STDM"):
         StepConfig(tau=0.1, solver_id=solver, shift_mode="corrected")
+
+
+@pytest.mark.parametrize("solver", ["NPDM", "MNPDM", "NTDM"])
+def test_corrected_pass_factors_once_and_matches_column_solves(monkeypatch,
+                                                               solver):
+    mesh = two_layer_mesh()
+    u = bumpy_field(mesh, amp=0.3).values
+    system = assemble_system(mesh, NONLINEAR_MATERIALS, u, u, 0.1)
+    if SOLVERS[solver].kernel.shape == "td":
+        system = pd_to_td(system)
+        shift = build_td_shift(system.matrix)
+    else:
+        shift = build_pd_shift(
+            mesh, contact_conductivities(mesh, NONLINEAR_MATERIALS, u))
+    calls = []
+    factorize = band_solvers.factorize
+
+    def counted(matrix, kernel):
+        calls.append(kernel.name)
+        return factorize(matrix, kernel)
+
+    monkeypatch.setattr(band_solvers, "factorize", counted)
+    x = time_stepper._corrected_solve(system, shift, SOLVERS[solver])
+    assert len(calls) == 1
+
+    # the same Woodbury correction from one public solve per column
+    solve = SOLVERS[solver].entry_point()
+    shifted = shift.apply(system.matrix)
+    rows = [i for i, p in enumerate(shift.entries.tolist()) if p != 0]
+    y = solve(LinearSystem(shifted, system.rhs)).solution
+    columns = [solve(LinearSystem(shifted, np.eye(mesh.n)[j])).solution
+               for j in rows]
+    capacitance = [[-z[i] for z in columns] for i in rows]
+    for a, i in enumerate(rows):
+        capacitance[a][a] = capacitance[a][a] + 1 / shift.entries[i]
+    weights = time_stepper._dense_solve(capacitance, [y[i] for i in rows])
+    expected = y
+    for w, z in zip(weights, columns):
+        expected = expected + w * z
+    assert len(rows) >= 3
+    assert np.array_equal(x, expected)
