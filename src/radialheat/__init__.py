@@ -22,7 +22,7 @@ from .conditioning import (ReductionBreakdownError, ShiftDiag, build_pd_shift,
                            weakly_dominant_rows)
 from .band_solvers import (SOLVERS, BreakdownError, SolveReport,
                            solve_pd_lu, solve_pd_modified, solve_td_thomas)
-from .exact_solvers import (DeferredScalar, ExactScalar, ExactInputError,
+from .exact_solvers import (DeferredScalar, ExactInputError,
                             SingularMatrixError, exact_solve_pd,
                             exact_solve_td)
 from .time_stepper import (NonConvergenceError, StepConfig, TemperatureField,

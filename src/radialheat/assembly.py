@@ -32,6 +32,11 @@ Exact meshes run the same code: exact temperatures and tau give object
 by element; float meshes give float64 arrays.  assemble_interior_row,
 materials.sample and CoefficientSample state the interior row one node at a
 time and serve as the oracle the tests hold assemble_system to.
+
+PentaMatrix and TriMatrix state their band layout once, in BandMatrix: each
+lists its diagonal fields in BANDS, lowest offset first.  matvec, to_dense,
+copy, the solvers' inputs, the dominance scan and the shift read the
+diagonals through bands() and main, so no other module names them.
 """
 
 from __future__ import annotations
@@ -55,8 +60,74 @@ def _zeros(n: int, exact: bool) -> np.ndarray:
     return np.zeros(n, dtype=np.float64)
 
 
+class BandMatrix:
+    """An N x N band matrix stored as its diagonals, each a length-N array.
+
+    A subclass names its diagonal fields in BANDS, lowest offset first, so
+    the main diagonal is the middle one, and the tuple field of row indices
+    that follows them in ROWS.  Diagonal k of the band holds the entry in
+    row i, column i+k at index i; slots that fall outside the matrix are
+    zero.
+    """
+
+    BANDS: tuple[str, ...] = ()
+    ROWS = ""
+
+    def bands(self) -> tuple[np.ndarray, ...]:
+        """The diagonals, lowest offset first."""
+        return tuple(getattr(self, name) for name in self.BANDS)
+
+    @property
+    def main(self) -> np.ndarray:
+        return getattr(self, self.BANDS[len(self.BANDS) // 2])
+
+    @property
+    def n(self) -> int:
+        return len(self.main)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.main.dtype == object
+
+    @classmethod
+    def zeros(cls, n: int, exact: bool = False, **rows):
+        return cls(*(_zeros(n, exact) for _ in cls.BANDS), **rows)
+
+    def _with_bands(self, bands):
+        return type(self)(*bands, getattr(self, self.ROWS))
+
+    def with_main(self, diagonal):
+        """A copy with diagonal as its main diagonal."""
+        mid = len(self.BANDS) // 2
+        return self._with_bands([diagonal if j == mid else band.copy()
+                                 for j, band in enumerate(self.bands())])
+
+    def copy(self):
+        return self._with_bands([band.copy() for band in self.bands()])
+
+    def matvec(self, x) -> np.ndarray:
+        """A x, adding the diagonals' terms in the order 0, +1, -1, +2, -2."""
+        x = np.asarray(x)
+        bands = self.bands()
+        mid = len(bands) // 2
+        out = bands[mid] * x
+        for k in range(1, mid + 1):
+            out[:-k] = out[:-k] + bands[mid + k][:-k] * x[k:]
+            out[k:] = out[k:] + bands[mid - k][k:] * x[:-k]
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        n = self.n
+        mid = len(self.BANDS) // 2
+        dense = _zeros(n * n, self.is_exact).reshape(n, n)
+        for k, band in enumerate(self.bands(), start=-mid):
+            rows = np.arange(max(-k, 0), n - max(k, 0))
+            dense[rows, rows + k] = band[rows]
+        return dense
+
+
 @dataclass(eq=False)
-class PentaMatrix:
+class PentaMatrix(BandMatrix):
     """Five diagonals of an N x N band matrix.
 
     d2m/d1m are the second/first sub-diagonals, d1p/d2p the super-diagonals;
@@ -65,6 +136,9 @@ class PentaMatrix:
     rows allowed to hold nonzero outer diagonals; for assembled systems that
     is exactly {0, N-1} plus the contact rows.
     """
+
+    BANDS = ("d2m", "d1m", "d0", "d1p", "d2p")
+    ROWS = "full_rows"
 
     d2m: np.ndarray
     d1m: np.ndarray
@@ -75,21 +149,6 @@ class PentaMatrix:
 
     def __post_init__(self):
         self.full_rows = tuple(int(i) for i in self.full_rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.d0)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.d0.dtype == object
-
-    @classmethod
-    def zeros(cls, n: int, exact: bool = False, full_rows=()) -> "PentaMatrix":
-        return cls(
-            _zeros(n, exact), _zeros(n, exact), _zeros(n, exact),
-            _zeros(n, exact), _zeros(n, exact), tuple(full_rows),
-        )
 
     def validate(self):
         n = self.n
@@ -106,78 +165,22 @@ class PentaMatrix:
             if (self.d2m[i] != 0 or self.d2p[i] != 0) and i not in full:
                 raise ValueError(f"row {i} has outer entries but is not in full_rows")
 
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        out = self.d0 * x
-        out[:-1] = out[:-1] + self.d1p[:-1] * x[1:]
-        out[1:] = out[1:] + self.d1m[1:] * x[:-1]
-        out[:-2] = out[:-2] + self.d2p[:-2] * x[2:]
-        out[2:] = out[2:] + self.d2m[2:] * x[:-2]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        dense = _zeros(n * n, self.is_exact).reshape(n, n)
-        idx = np.arange(n)
-        dense[idx, idx] = self.d0
-        dense[idx[1:], idx[:-1]] = self.d1m[1:]
-        dense[idx[:-1], idx[1:]] = self.d1p[:-1]
-        dense[idx[2:], idx[:-2]] = self.d2m[2:]
-        dense[idx[:-2], idx[2:]] = self.d2p[:-2]
-        return dense
-
-    def copy(self) -> "PentaMatrix":
-        return PentaMatrix(
-            self.d2m.copy(), self.d1m.copy(), self.d0.copy(),
-            self.d1p.copy(), self.d2p.copy(), self.full_rows,
-        )
-
 
 @dataclass(eq=False)
-class TriMatrix:
+class TriMatrix(BandMatrix):
     """Three diagonals of an N x N band matrix.
 
     contact_rows carries the interface-row indices through the band
     reduction so the tridiagonal dominance shift knows where to act.
     """
 
+    BANDS = ("sub", "diag", "sup")
+    ROWS = "contact_rows"
+
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
     contact_rows: tuple[int, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.diag.dtype == object
-
-    @classmethod
-    def zeros(cls, n: int, exact: bool = False, contact_rows=()) -> "TriMatrix":
-        return cls(_zeros(n, exact), _zeros(n, exact), _zeros(n, exact),
-                   tuple(contact_rows))
-
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        out = self.diag * x
-        out[:-1] = out[:-1] + self.sup[:-1] * x[1:]
-        out[1:] = out[1:] + self.sub[1:] * x[:-1]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        dense = _zeros(n * n, self.is_exact).reshape(n, n)
-        idx = np.arange(n)
-        dense[idx, idx] = self.diag
-        dense[idx[1:], idx[:-1]] = self.sub[1:]
-        dense[idx[:-1], idx[1:]] = self.sup[:-1]
-        return dense
-
-    def copy(self) -> "TriMatrix":
-        return TriMatrix(self.sub.copy(), self.diag.copy(), self.sup.copy(),
-                         self.contact_rows)
 
 
 @dataclass(eq=False)
@@ -288,19 +291,25 @@ def contact_conductivities(mesh: RadialMesh,
                            materials: Mapping[str, MaterialModel],
                            u) -> list[tuple]:
     """(lambda_left, lambda_right) at each contact, evaluated at the shared
-    contact temperature u[i*]."""
+    contact temperature u[i*].  A MaterialDomainError names the first
+    contact node at fault, its material and the offending value."""
     pairs = []
     for i_star in mesh.contact_indices:
-        left = materials[mesh.cell_materials[i_star - 1]]
-        right = materials[mesh.cell_materials[i_star]]
-        u_star = u[i_star]
-        pairs.append((left.conductivity_at(u_star),
-                      right.conductivity_at(u_star)))
+        pair = []
+        for mid in mesh.cell_materials[i_star - 1:i_star + 1]:
+            try:
+                pair.append(materials[mid].conductivity_at(u[i_star]))
+            except MaterialDomainError as exc:
+                raise MaterialDomainError(
+                    f"node {i_star} (material {mid!r}): {exc}", node=i_star,
+                    material=mid, value=exc.value) from None
+        pairs.append(tuple(pair))
     return pairs
 
 
 def _field(values, exact: bool) -> np.ndarray:
-    """Node values as an array; object dtype keeps exact scalars as given."""
+    """values as a float64 array, or as an object array that keeps exact
+    scalars as given."""
     return np.asarray(values, dtype=object if exact else np.float64)
 
 
@@ -396,6 +405,10 @@ def assemble_system(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
         rho_c[part] = rho * cv
         lam_lo[part], lam_hi[part] = lam_m, lam_p
         phi[part] = model.source(u_i)
+    try:
+        contact_lams = contact_conductivities(mesh, materials, u)
+    except MaterialDomainError as exc:
+        faults.append(exc)
     faults = [exc for exc in faults if exc is not None]
     if faults:  # the lowest node; at a tie the check listed first
         raise min(faults, key=lambda exc: exc.node)
@@ -418,9 +431,7 @@ def assemble_system(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     d1m[rows], d0[rows], d1p[rows], rhs[rows] = c_lo, diag, c_hi, b
     (d0[0], d1p[0], d2p[0]), (d2m[n - 1], d1m[n - 1], d0[n - 1]) = \
         assemble_neumann_rows(mesh)
-    for i_star, (lam_l, lam_r) in zip(
-        mesh.contact_indices, contact_conductivities(mesh, materials, u)
-    ):
+    for i_star, (lam_l, lam_r) in zip(mesh.contact_indices, contact_lams):
         (d2m[i_star], d1m[i_star], d0[i_star], d1p[i_star],
          d2p[i_star]) = assemble_contact_row(mesh, lam_l, lam_r, i_star)
 

@@ -24,8 +24,8 @@ scalars in one factor and one solve: 19N - 29 (LU), 9N - 8 (THOMAS), and
 for MODIFIED 13N - 15 plus a cost per full row, 13N + 7K - 8 for full rows
 0, N-1 and K contact rows.  Index arithmetic, row-type checks, pivot tests
 and the residual are not counted; bench.verify_op_counts checks the forms
-by running the kernels over a counting scalar.  wall_time covers factor and
-solve only.
+by running the kernels over a counting scalar.  A SolveReport carries no
+time: bench times the entry points from outside.
 
 SOLVERS is the one table of solver ids.
 """
@@ -34,12 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import import_module
-from time import perf_counter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assembly import LinearSystem, PentaMatrix, TriMatrix
+from .assembly import LinearSystem, PentaMatrix, TriMatrix, _field
 
 #: Relative pivot threshold separating structural zeros from rounding noise.
 PIVOT_RTOL = 1e-30
@@ -63,7 +62,6 @@ class SolveReport:
 
     solution: np.ndarray
     op_count: int
-    wall_time: float
     residual_inf: object
     solver_id: str
 
@@ -238,22 +236,23 @@ LU = Kernel("LU", "pd", lu_factor, lu_solve)
 MODIFIED = Kernel("MODIFIED", "pd", modified_factor, modified_solve)
 THOMAS = Kernel("THOMAS", "td", thomas_factor, thomas_solve)
 
-#: Band shape -> matrix class, smallest N, name, and diagonals lowest first.
+#: Band shape -> matrix class, smallest N and name.
 _SHAPES = {
-    "pd": (PentaMatrix, 3, "pentadiagonal", ("d2m", "d1m", "d0", "d1p", "d2p")),
-    "td": (TriMatrix, 2, "tridiagonal", ("sub", "diag", "sup")),
+    "pd": (PentaMatrix, 3, "pentadiagonal"),
+    "td": (TriMatrix, 2, "tridiagonal"),
 }
 
 
 def kernel_inputs(matrix, kernel: Kernel, convert) -> list:
     """kernel.factor's inputs: each diagonal of matrix, lowest first, as
     convert(array, name), and the full rows for MODIFIED."""
-    cls, n_min, word, names = _SHAPES[kernel.shape]
+    cls, n_min, word = _SHAPES[kernel.shape]
     if not isinstance(matrix, cls):
         raise TypeError(f"the {kernel.name} kernel expects a {word} system")
     if matrix.n < n_min:
         raise ValueError(f"{word} solver needs N >= {n_min}")
-    inputs = [convert(getattr(matrix, name), name) for name in names]
+    inputs = [convert(band, name)
+              for name, band in zip(matrix.BANDS, matrix.bands())]
     if kernel is MODIFIED:
         inputs.append(matrix.full_rows)
     return inputs
@@ -286,15 +285,8 @@ def _float_inputs(matrix, kernel: Kernel) -> tuple[list, list]:
     inputs = kernel_inputs(matrix, kernel, lambda arr, name: arr.tolist())
     if matrix.is_exact:
         return inputs, [0] * matrix.n
-    rows = np.abs(np.vstack([getattr(matrix, name)
-                             for name in _SHAPES[kernel.shape][3]]))
+    rows = np.abs(np.vstack(matrix.bands()))
     return inputs, (PIVOT_RTOL * rows.max(axis=0)).tolist()
-
-
-def _as_array(x: list, like: np.ndarray) -> np.ndarray:
-    if like.dtype == object:
-        return np.array(x, dtype=object)
-    return np.asarray(x, dtype=np.float64)
 
 
 def factorize(matrix, kernel: Kernel) -> Callable[[np.ndarray], list]:
@@ -307,13 +299,8 @@ def factorize(matrix, kernel: Kernel) -> Callable[[np.ndarray], list]:
 def _float_solve(system: LinearSystem, solver_id: str) -> SolveReport:
     kernel = SOLVERS[solver_id].kernel
     m = system.matrix
-    inputs, thr = _float_inputs(m, kernel)
-    f = system.rhs.tolist()
-    start = perf_counter()
-    x = kernel.solve(kernel.factor(inputs, thr, raise_breakdown), f)
-    wall = perf_counter() - start
-    x = _as_array(x, system.rhs)
-    return SolveReport(x, op_count(kernel, m), wall,
+    x = _field(factorize(m, kernel)(system.rhs), system.rhs.dtype == object)
+    return SolveReport(x, op_count(kernel, m),
                        sup_norm(m.matvec(x) - system.rhs), solver_id)
 
 
@@ -359,7 +346,7 @@ class Solver(NamedTuple):
         to the solution array."""
         module = import_module(f"{__package__}.{self.module}")
         back_solve = module.factorize(matrix, self.kernel)
-        return lambda rhs: _as_array(back_solve(rhs), rhs)
+        return lambda rhs: _field(back_solve(rhs), rhs.dtype == object)
 
 
 SOLVERS = {

@@ -14,14 +14,15 @@ side is set to b = A_DD * y_bar, and each solver's error is the sup norm of
 its recovered solution against y_bar.  No PDE ground truth is needed and
 exact solvers must reproduce y_bar exactly (error 0).
 
-Wall-clock entries are medians over `repetitions` runs after one discarded
-warm-up.  Operation counts are the float solvers' closed forms
-(band_solvers.op_count).  verify_op_counts holds them to a count of the
-kernels' arithmetic: it factors and solves each system over CountingFloat,
-a float that tallies every +, -, * and /.  The reference operation laws are
-19N - 29 (NPDM), 13N + 7K - 14 (MNPDM) and 9N + 2 (NTDM).  The counts match
-the N and K slopes of those laws exactly; their constants are -29, -8 and
--8 and are reported next to the references.
+Wall-clock entries are medians over `repetitions` calls of each solver's
+entry point after one discarded warm-up (see bench).  Operation counts are
+the float solvers' closed forms (band_solvers.op_count).  verify_op_counts
+holds them to a count of the kernels' arithmetic: it factors and solves
+each system over CountingFloat, a float that tallies every +, -, * and /.
+The reference operation laws are 19N - 29 (NPDM), 13N + 7K - 14 (MNPDM)
+and 9N + 2 (NTDM).  The counts match the N and K slopes of those laws
+exactly; their constants are -29, -8 and -8 and are reported next to the
+references.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import platform
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,8 +38,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .assembly import (LinearSystem, PentaMatrix, TriMatrix, assemble_system,
-                       contact_conductivities)
+from .assembly import (LinearSystem, PentaMatrix, TriMatrix, _field,
+                       assemble_system, contact_conductivities)
 from .band_solvers import (SOLVERS, BreakdownError, kernel_inputs,
                            raise_breakdown, sup_norm)
 from .conditioning import build_pd_shift, build_td_shift, pd_to_td
@@ -53,6 +53,10 @@ DEFAULT_N_TIERS = (10**3, 10**4, 10**5)
 #: Sizes above this need allow_huge=True (five diagonals at 1e8 nodes are
 #: several GB of memory).
 HUGE_N = 10**7
+
+#: Time steps of convergence_study at the coarsest mesh; refinement factor f
+#: takes f^2 times as many.
+STUDY_STEPS = 4
 
 #: Reference complexity laws: (N slope, K slope, constant).
 REFERENCE_LAWS = {"NPDM": (19, 0, -29), "MNPDM": (13, 7, -14), "NTDM": (9, 0, 2)}
@@ -157,9 +161,7 @@ def constructed_profile(mesh: RadialMesh, seed: int) -> np.ndarray:
     for r in mesh.nodes.tolist():
         s = r - r_min
         values.append(1 + c1 * s + c2 * s * s)
-    if mesh.is_exact:
-        return np.array(values, dtype=object)
-    return np.asarray(values, dtype=np.float64)
+    return _field(values, mesh.is_exact)
 
 
 def _bench_tau(mesh: RadialMesh):
@@ -241,49 +243,26 @@ def make_random_system(n: int, k: int, rng, exact: bool = False,
             return [Fraction(int(v)) for v in rng.integers(1, 5, size)]
         return list(rng.uniform(0.1, 1.0, size))
 
-    if kind == "td":
-        sub = [0] * n
-        sup = [0] * n
-        vals_sub = draw(n - 1)
-        vals_sup = draw(n - 1)
-        for i in range(1, n):
-            sub[i] = vals_sub[i - 1]
-        for i in range(n - 1):
-            sup[i] = vals_sup[i]
-        diag = [abs(sub[i]) + abs(sup[i]) + m for i, m in enumerate(margin(n))]
-        rhs = draw(n)
-        arr = (lambda v: np.array(v, dtype=object) if exact
-               else np.asarray(v, dtype=np.float64))
-        return LinearSystem(TriMatrix(arr(sub), arr(diag), arr(sup)), arr(rhs))
-
-    contacts = spread_contacts(n, k)
-    full_rows = (0, *contacts, n - 1)
-    d2m = [0] * n
-    d1m = [0] * n
-    d1p = [0] * n
-    d2p = [0] * n
-    vals_sub = draw(n - 1)
-    vals_sup = draw(n - 1)
-    for i in range(1, n):
-        d1m[i] = vals_sub[i - 1]
-    for i in range(n - 1):
-        d1p[i] = vals_sup[i]
-    outer = draw(2 + 2 * len(contacts))
-    d2p[0] = outer[0]
-    d2m[n - 1] = outer[1]
-    for j, i_star in enumerate(contacts):
-        d2m[i_star] = outer[2 + 2 * j]
-        d2p[i_star] = outer[3 + 2 * j]
-    diag = [
-        abs(d2m[i]) + abs(d1m[i]) + abs(d1p[i]) + abs(d2p[i]) + m
-        for i, m in enumerate(margin(n))
-    ]
+    cls = TriMatrix if kind == "td" else PentaMatrix
+    contacts = spread_contacts(n, k) if cls is PentaMatrix else ()
+    bands = [[0] * n for _ in cls.BANDS]
+    mid = len(bands) // 2
+    bands[mid - 1][1:] = draw(n - 1)
+    bands[mid + 1][:-1] = draw(n - 1)
+    rows = ()
+    if cls is PentaMatrix:
+        rows = (0, *contacts, n - 1)
+        d2m, d2p = bands[0], bands[-1]
+        outer = draw(2 + 2 * len(contacts))
+        d2p[0], d2m[n - 1] = outer[:2]
+        for j, i_star in enumerate(contacts):
+            d2m[i_star], d2p[i_star] = outer[2 + 2 * j:4 + 2 * j]
+    off = bands[:mid] + bands[mid + 1:]
+    bands[mid] = [sum(abs(band[i]) for band in off) + m
+                  for i, m in enumerate(margin(n))]
     rhs = draw(n)
-    arr = (lambda v: np.array(v, dtype=object) if exact
-           else np.asarray(v, dtype=np.float64))
-    matrix = PentaMatrix(arr(d2m), arr(d1m), arr(diag), arr(d1p), arr(d2p),
-                         full_rows)
-    return LinearSystem(matrix, arr(rhs))
+    return LinearSystem(cls(*(_field(band, exact) for band in bands), rows),
+                        _field(rhs, exact))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +272,13 @@ def make_random_system(n: int, k: int, rng, exact: bool = False,
 def bench(scenario: BenchScenario) -> list[BenchRow]:
     """Run the benchmark campaign; one row per (N, solver).
 
-    Solver breakdowns are recorded in the row's note, not raised.  Rows are
-    deterministic for a fixed seed except for the wall-clock column.
+    wall_s is the median, over `repetitions` calls after one discarded
+    warm-up, of the wall clock around one call of the solver's entry point,
+    for every solver alike: it covers reading the bands into the kernel's
+    lists, factor and solve, and then the residual (float solvers) or the
+    eps -> 0 limit (exact ones).  Solver breakdowns are recorded in the
+    row's note, not raised.  Rows are deterministic for a fixed seed except
+    for the wall-clock column.
     """
     rows = []
     need_exact = any(SOLVERS[s].exact for s in scenario.solvers)
@@ -314,26 +298,21 @@ def bench(scenario: BenchScenario) -> list[BenchRow]:
                 continue
             system = case.pd_system if spec.kernel.shape == "pd" else case.td_system
             fn = spec.entry_point()
-            runs = []
+            times = []
             try:
                 for _ in range(scenario.repetitions + 1):
                     t0 = perf_counter()
-                    runs.append((fn(system), perf_counter() - t0))
+                    out = fn(system)
+                    times.append(perf_counter() - t0)
             except BreakdownError as exc:
                 rows.append(BenchRow(n, solver, float("nan"), None,
                                      float("nan"), path,
                                      f"breakdown at row {exc.row}"))
                 continue
-            out = runs[-1][0]
-            if spec.exact:  # exact solvers report no time of their own
-                wall = median(t for _, t in runs[1:])
-                rows.append(BenchRow(n, solver, wall, None,
-                                     sup_norm(np.asarray(out) - case.y_bar),
-                                     path))
-            else:
-                wall = median(r.wall_time for r, _ in runs[1:])
-                rows.append(BenchRow(n, solver, wall, out.op_count,
-                                     sup_norm(out.solution - case.y_bar), path))
+            x, ops = ((np.asarray(out), None) if spec.exact
+                      else (out.solution, out.op_count))
+            rows.append(BenchRow(n, solver, median(times[1:]), ops,
+                                 sup_norm(x - case.y_bar), path))
     return rows
 
 
@@ -599,11 +578,11 @@ class ConvergenceReport:
 
 def convergence_study(layers, materials, solution: ManufacturedSolution,
                       cells_factors=(1, 2, 4, 8), t_final: float = 0.5,
-                      steps_base: int = 4, solver_id: str = "NTDM",
-                      shift_mode: str = "none", randomize_steps: bool = False,
+                      randomize_steps: bool = False,
                       seed: int = 0) -> ConvergenceReport:
-    """Refine the mesh by cells_factors, step to t_final with tau ~ h^2 and
-    report the observed spatial order against the manufactured solution.
+    """Refine the mesh by cells_factors, step to t_final by NTDM without a
+    shift, with tau ~ h^2, and report the observed spatial order against the
+    manufactured solution.
 
     randomize_steps=True replaces each refined mesh by a jittered-step
     variant (layer interfaces kept), the control for the
@@ -620,9 +599,9 @@ def convergence_study(layers, materials, solution: ManufacturedSolution,
                 LayerSpec(l.r_start, l.r_end, l.material_id, l.cells * factor)
                 for l in layers
             ])
-        steps = steps_base * factor * factor
+        steps = STUDY_STEPS * factor * factor
         tau = t_final / steps
-        cfg = StepConfig(tau=tau, solver_id=solver_id, shift_mode=shift_mode)
+        cfg = StepConfig(tau=tau, solver_id="NTDM", shift_mode="none")
         radii = [float(r) for r in mesh.nodes.tolist()]
         u0 = TemperatureField(
             np.asarray([solution.u(r, 0.0) for r in radii], dtype=np.float64), 0.0)
@@ -667,8 +646,8 @@ def _fmt_err(err) -> str:
     return str(err)  # exact scalars print exactly ("0")
 
 
-def emit(results: list[BenchRow], path=None, metadata: dict | None = None,
-         stream=None) -> None:
+def emit(results: list[BenchRow], path=None,
+         metadata: dict | None = None) -> None:
     """Write results as CSV (columns N,solver,wall_s,op_count,err_inf) and
     print an aligned table; optional metadata goes to <path>.meta.json.
 
@@ -677,7 +656,6 @@ def emit(results: list[BenchRow], path=None, metadata: dict | None = None,
     """
     if not results:
         raise ValueError("emit needs a nonempty result list")
-    stream = stream or sys.stdout
 
     header = ("N", "solver", "path", "wall_s", "op_count", "err_inf", "note")
     table = [header]
@@ -687,8 +665,7 @@ def emit(results: list[BenchRow], path=None, metadata: dict | None = None,
                       _fmt_err(row.err_inf), row.note))
     widths = [max(len(r[j]) for r in table) for j in range(len(header))]
     for r in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip(),
-              file=stream)
+        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
     if path is not None:
         path = Path(path)

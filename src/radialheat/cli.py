@@ -49,14 +49,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench", help="time and verify the five solvers")
-    p.add_argument("--n", type=_int_list, default=(10**3, 10**4, 10**5),
+    p.add_argument("--n", type=_int_list, default=BenchScenario.n_values,
                    help="comma-separated problem sizes")
-    p.add_argument("--k", type=int, default=11, help="number of contact rows")
-    p.add_argument("--solvers", type=_solver_list, default=tuple(SOLVERS))
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=int, default=BenchScenario.k,
+                   help="number of contact rows")
+    p.add_argument("--solvers", type=_solver_list, default=BenchScenario.solvers)
+    p.add_argument("--reps", type=int, default=BenchScenario.repetitions)
+    p.add_argument("--seed", type=int, default=BenchScenario.seed)
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--exact-cap", type=int, default=2 * 10**4,
+    p.add_argument("--exact-cap", type=int, default=BenchScenario.exact_cap,
                    help="largest N the exact solvers are scheduled for")
     p.add_argument("--allow-huge", action="store_true",
                    help="permit N beyond 1e7 (several GB of memory)")
@@ -80,16 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--u0", type=float, default=1.0,
                    help="uniform initial temperature")
-    p.add_argument("--solver", default="NTDM",
+    p.add_argument("--solver", default=StepConfig.solver_id,
                    choices=[s for s, spec in SOLVERS.items() if not spec.exact])
-    p.add_argument("--shift", default="corrected", choices=SHIFT_MODES,
+    p.add_argument("--shift", default=StepConfig.shift_mode, choices=SHIFT_MODES,
                    help="corrected: solve the unshifted system exactly "
                         "through the dominance shift; pd, td: the paper's "
                         "shifted fixed point; none: the raw system")
-    p.add_argument("--picard-tol", type=float, default=1e-12,
+    p.add_argument("--picard-tol", type=float, default=StepConfig.picard_tol,
                    help="stop once the sup-norm update is at most this "
                         "times the sup norm of the iterate")
-    p.add_argument("--max-picard", type=int, default=100,
+    p.add_argument("--max-picard", type=int, default=StepConfig.max_picard,
                    help="iteration cap; the pd and td shifts solve a fixed "
                         "point and may need more iterations on stiff "
                         "problems")

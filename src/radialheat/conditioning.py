@@ -30,8 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LinearSystem, PentaMatrix, TriMatrix, _zeros
+from .assembly import LinearSystem, PentaMatrix, TriMatrix, _field, _zeros
 from .mesh import RadialMesh
+
+#: Relative slack of build_td_shift's dominance scan, absorbing float
+#: rounding of the reduction.
+TD_SHIFT_RTOL = 1e-13
 
 
 class ReductionBreakdownError(RuntimeError):
@@ -48,7 +52,7 @@ class ShiftDiag:
     """Diagonal dominance shift and its right-hand-side feedback.
 
     entries is a length-N vector, nonzero at the designated rows ({0, N-1}
-    and the contact rows) plus any extension rows; kind is "pd" or "td".
+    and the contact rows) plus any extension rows.
     The paper's shifted solve is a fixed point: (A + P) u = rhs + P u, so
     feedback() supplies the P*u term.  The "corrected" time-stepping mode
     uses the same P differently: it solves A u = rhs exactly through the
@@ -57,21 +61,13 @@ class ShiftDiag:
     """
 
     entries: np.ndarray
-    kind: str
     designated_rows: tuple[int, ...]
     extended_rows: tuple[int, ...] = ()
 
     def apply(self, matrix):
         """Return a copy of the matrix with the shift added to its diagonal.
         Off-diagonal entries are never touched."""
-        shifted = matrix.copy()
-        if isinstance(matrix, PentaMatrix):
-            shifted.d0 = shifted.d0 + self.entries
-        elif isinstance(matrix, TriMatrix):
-            shifted.diag = shifted.diag + self.entries
-        else:
-            raise TypeError(f"cannot shift {type(matrix).__name__}")
-        return shifted
+        return matrix.with_main(matrix.main + self.entries)
 
     def feedback(self, u) -> np.ndarray:
         """P*u, the right-hand-side compensation for the current iterate."""
@@ -87,7 +83,6 @@ def build_pd_shift(mesh: RadialMesh, contact_lams) -> ShiftDiag:
     """
     n = mesh.n
     steps = mesh.steps
-    exact = mesh.is_exact
     entries = [0] * n
     entries[0] = 2 * steps[0] * steps[0]
     entries[n - 1] = 2 * steps[-1] * steps[-1]
@@ -106,9 +101,8 @@ def build_pd_shift(mesh: RadialMesh, contact_lams) -> ShiftDiag:
             2 * lam_l * h_i / (h_im1 * (h_i + h_im1))
             + 2 * lam_r * h_ip1 / (h_ip2 * (h_ip1 + h_ip2))
         )
-    arr = np.array(entries, dtype=object) if exact else np.asarray(entries, dtype=np.float64)
     designated = tuple(sorted({0, n - 1} | set(mesh.contact_indices)))
-    return ShiftDiag(arr, "pd", designated)
+    return ShiftDiag(_field(entries, mesh.is_exact), designated)
 
 
 def pd_to_td(system: LinearSystem) -> LinearSystem:
@@ -125,54 +119,31 @@ def pd_to_td(system: LinearSystem) -> LinearSystem:
     if not isinstance(matrix, PentaMatrix):
         raise TypeError("pd_to_td expects a pentadiagonal system")
     n = matrix.n
-    sub = matrix.d1m.copy()
-    diag = matrix.d0.copy()
-    sup = matrix.d1p.copy()
+    tri = [matrix.d1m.copy(), matrix.d0.copy(), matrix.d1p.copy()]
+    diag = tri[1]
     rhs = system.rhs.copy()
 
+    def eliminate(i, j, outer):
+        """Clear row i's entry outer in column 2j - i with row j = i +- 1."""
+        side = j - i
+        far, near = tri[1 + side], tri[1 - side]
+        if far[j] == 0:
+            raise ReductionBreakdownError(
+                i, f"row {j} has a zero {'super' if side > 0 else 'sub'}-"
+                   f"diagonal entry; cannot eliminate the ({i},{2 * j - i}) "
+                   f"entry")
+        m = outer / far[j]
+        diag[i] = diag[i] - m * near[j]
+        far[i] = far[i] - m * diag[j]
+        rhs[i] = rhs[i] - m * rhs[j]
+
     for i in matrix.full_rows:
-        if i == 0:
-            if matrix.d2p[0] != 0:
-                if sup[1] == 0:
-                    raise ReductionBreakdownError(
-                        0, "row 1 has a zero super-diagonal entry; cannot "
-                           "eliminate the (0,2) entry of row 0")
-                m = matrix.d2p[0] / sup[1]
-                diag[0] = diag[0] - m * sub[1]
-                sup[0] = sup[0] - m * diag[1]
-                rhs[0] = rhs[0] - m * rhs[1]
-        elif i == n - 1:
-            if matrix.d2m[n - 1] != 0:
-                if sub[n - 2] == 0:
-                    raise ReductionBreakdownError(
-                        n - 1, f"row {n - 2} has a zero sub-diagonal entry; "
-                               f"cannot eliminate the ({n - 1},{n - 3}) entry")
-                m = matrix.d2m[n - 1] / sub[n - 2]
-                diag[n - 1] = diag[n - 1] - m * sup[n - 2]
-                sub[n - 1] = sub[n - 1] - m * diag[n - 2]
-                rhs[n - 1] = rhs[n - 1] - m * rhs[n - 2]
-        else:
-            if matrix.d2m[i] != 0:
-                if sub[i - 1] == 0:
-                    raise ReductionBreakdownError(
-                        i, f"row {i - 1} has a zero sub-diagonal entry; "
-                           f"cannot eliminate the ({i},{i - 2}) entry")
-                m = matrix.d2m[i] / sub[i - 1]
-                sub[i] = sub[i] - m * diag[i - 1]
-                diag[i] = diag[i] - m * sup[i - 1]
-                rhs[i] = rhs[i] - m * rhs[i - 1]
-            if matrix.d2p[i] != 0:
-                if sup[i + 1] == 0:
-                    raise ReductionBreakdownError(
-                        i, f"row {i + 1} has a zero super-diagonal entry; "
-                           f"cannot eliminate the ({i},{i + 2}) entry")
-                m = matrix.d2p[i] / sup[i + 1]
-                diag[i] = diag[i] - m * sub[i + 1]
-                sup[i] = sup[i] - m * diag[i + 1]
-                rhs[i] = rhs[i] - m * rhs[i + 1]
+        for j, outer in ((i - 1, matrix.d2m[i]), (i + 1, matrix.d2p[i])):
+            if 0 <= j < n and outer != 0:
+                eliminate(i, j, outer)
 
     contact_rows = tuple(i for i in matrix.full_rows if 0 < i < n - 1)
-    return LinearSystem(TriMatrix(sub, diag, sup, contact_rows), rhs)
+    return LinearSystem(TriMatrix(*tri, contact_rows), rhs)
 
 
 def weakly_dominant_rows(matrix, rtol: float = 0.0) -> list[bool]:
@@ -183,12 +154,7 @@ def weakly_dominant_rows(matrix, rtol: float = 0.0) -> list[bool]:
     """
     n = matrix.n
     flags = []
-    if isinstance(matrix, PentaMatrix):
-        bands = (matrix.d2m, matrix.d1m, matrix.d0, matrix.d1p, matrix.d2p)
-    elif isinstance(matrix, TriMatrix):
-        bands = (matrix.sub, matrix.diag, matrix.sup)
-    else:
-        raise TypeError(f"cannot scan {type(matrix).__name__}")
+    bands = matrix.bands()
     mid = len(bands) // 2
     for i in range(n):
         diag = abs(bands[mid][i])
@@ -202,12 +168,12 @@ def is_weakly_dominant(matrix, rtol: float = 0.0) -> bool:
     return all(weakly_dominant_rows(matrix, rtol))
 
 
-def build_td_shift(td: TriMatrix, rtol: float = 1e-13) -> ShiftDiag:
+def build_td_shift(td: TriMatrix) -> ShiftDiag:
     """Dominance shift for a reduced tridiagonal matrix.
 
     Designated entries: |sup| of row 0, |sub| of row N-1 (the sole
     off-diagonal of each), and |sub| + |sup| at every contact row.  Any
-    other row found non-dominant (within rtol, for float noise) gets the
+    other row found non-dominant (within TD_SHIFT_RTOL) gets the
     minimal make-up shift and is listed in extended_rows.  The scan runs on
     whole arrays; object (exact) matrices are scanned exactly.
     """
@@ -226,8 +192,8 @@ def build_td_shift(td: TriMatrix, rtol: float = 1e-13) -> ShiftDiag:
     if exact:
         short = np.asarray(deficit > 0, dtype=bool)
     else:
-        short = deficit > rtol * np.maximum(np.abs(td.diag), off)
+        short = deficit > TD_SHIFT_RTOL * np.maximum(np.abs(td.diag), off)
     short[list(designated)] = False
     extended = np.flatnonzero(short)
     entries[extended] = deficit[extended]
-    return ShiftDiag(entries, "td", designated, tuple(int(i) for i in extended))
+    return ShiftDiag(entries, designated, tuple(int(i) for i in extended))

@@ -28,9 +28,6 @@ import numpy as np
 from .assembly import LinearSystem
 from .band_solvers import SOLVERS, Kernel, kernel_inputs
 
-#: Exact scalar type used for coefficients produced by this module.
-ExactScalar = Fraction
-
 
 class SingularMatrixError(ArithmeticError):
     """The system has no unique solution (pole survives at eps = 0)."""

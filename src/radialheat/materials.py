@@ -21,8 +21,9 @@ class MaterialDomainError(ValueError):
     """Temperature outside the declared validity range, or a coefficient
     evaluated to a non-physical (non-positive) value.
 
-    Errors raised during assembly carry the node at fault, its material id
-    and the offending value; the single-value checks below leave them None.
+    Every error carries the offending value.  Errors raised during assembly
+    also carry the node at fault and its material id; the single-value
+    checks below leave those None.
     """
 
     def __init__(self, message: str, node: int | None = None,
@@ -110,8 +111,7 @@ class MaterialModel:
         lo, hi = self.valid_range
         if not (lo <= u <= hi):
             raise MaterialDomainError(
-                f"temperature {u} outside validity range [{lo}, {hi}]"
-            )
+                f"temperature {u} outside validity range [{lo}, {hi}]", value=u)
 
     def rho_c(self, u):
         """rho(u) * cv(u), range- and positivity-checked."""
@@ -119,9 +119,11 @@ class MaterialModel:
         rho = self.rho(u)
         cv = self.cv(u)
         if not rho > 0:
-            raise MaterialDomainError(f"rho({u}) = {rho} is not positive")
+            raise MaterialDomainError(f"rho({u}) = {rho} is not positive",
+                                      value=rho)
         if not cv > 0:
-            raise MaterialDomainError(f"cv({u}) = {cv} is not positive")
+            raise MaterialDomainError(f"cv({u}) = {cv} is not positive",
+                                      value=cv)
         return rho * cv
 
     def conductivity_at(self, u):
@@ -129,12 +131,9 @@ class MaterialModel:
         self.check_temperature(u)
         lam = self.conductivity(u)
         if not lam > 0:
-            raise MaterialDomainError(f"conductivity({u}) = {lam} is not positive")
+            raise MaterialDomainError(
+                f"conductivity({u}) = {lam} is not positive", value=lam)
         return lam
-
-    def source_at(self, u):
-        self.check_temperature(u)
-        return self.source(u)
 
     @property
     def constant_coefficients(self) -> bool:

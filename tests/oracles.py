@@ -8,7 +8,9 @@ plain Gaussian elimination with partial pivoting by magnitude).
 The assembly and shift-scan oracles are the exception: they restate the
 package's whole-array assemble_system and build_td_shift one row at a time,
 from the per-row helpers (sample, assemble_interior_row, ...), so the
-whole-array code can be held to them value for value.
+whole-array code can be held to them value for value.  So do the band
+product and the PD -> TD reduction oracles, which write out the operation
+order that BandMatrix.matvec and conditioning.pd_to_td must keep.
 """
 
 from fractions import Fraction
@@ -163,3 +165,44 @@ def td_shift_rows(td, rtol=1e-13):
             entries[i] = deficit
             extended.append(i)
     return entries, tuple(extended)
+
+
+def matvec_rows(matrix, x, width):
+    """A x one row at a time from the dense matrix of half-bandwidth width,
+    adding the terms of row i in the order of columns i, i+1, i-1, i+2, i-2."""
+    dense = matrix.to_dense().tolist()
+    n = len(x)
+    out = []
+    for i in range(n):
+        acc = dense[i][i] * x[i]
+        for k in range(1, width + 1):
+            if i + k < n:
+                acc = acc + dense[i][i + k] * x[i + k]
+            if i - k >= 0:
+                acc = acc + dense[i][i - k] * x[i - k]
+        out.append(acc)
+    return out
+
+
+def reduce_rows(system):
+    """The PD -> TD reduction with each side of each full row written out:
+    row 1 clears row 0's (0,2) entry, row N-2 row N-1's (N-1,N-3) entry,
+    and rows i-1 then i+1 the two outer entries of a contact row i.
+    Returns (sub, diag, sup, rhs) as lists."""
+    m = system.matrix
+    n = m.n
+    d2m, d2p = m.d2m.tolist(), m.d2p.tolist()
+    sub, diag, sup = m.d1m.tolist(), m.d0.tolist(), m.d1p.tolist()
+    rhs = system.rhs.tolist()
+    for i in m.full_rows:
+        if i > 0 and d2m[i] != 0:
+            f = d2m[i] / sub[i - 1]
+            diag[i] = diag[i] - f * sup[i - 1]
+            sub[i] = sub[i] - f * diag[i - 1]
+            rhs[i] = rhs[i] - f * rhs[i - 1]
+        if i < n - 1 and d2p[i] != 0:
+            f = d2p[i] / sup[i + 1]
+            diag[i] = diag[i] - f * sub[i + 1]
+            sup[i] = sup[i] - f * diag[i + 1]
+            rhs[i] = rhs[i] - f * rhs[i + 1]
+    return sub, diag, sup, rhs

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 import sympy
 
-from oracles import assemble_rows
+from oracles import assemble_rows, matvec_rows
 from radialheat import (LayerSpec, MaterialDomainError, MaterialModel, Polynomial,
                         RadialMesh, StencilError, CoefficientSample,
                         assemble_contact_row, assemble_interior_row,
-                        assemble_neumann_rows, assemble_system, build_mesh)
-from radialheat.bench import default_layers
+                        assemble_neumann_rows, assemble_system, build_mesh,
+                        contact_conductivities)
+from radialheat.bench import default_layers, make_random_system
 
 
 def uniform_mesh(r0=98.0, h=1.0, n=5):
@@ -375,6 +376,14 @@ def test_graded_mesh_matches_row_oracle_bit_for_bit():
     assert_same_as_rows(system, mesh, mats, u, u, 0.02)
 
 
+def test_matvec_matches_row_oracle_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for kind, width in (("pd", 2), ("td", 1)):
+        matrix = make_random_system(30, 3, rng, kind=kind).matrix
+        x = rng.normal(size=30)
+        assert matrix.matvec(x).tolist() == matvec_rows(matrix, x.tolist(), width)
+
+
 # ---------------------------------------------------------------------------
 # errors name the node at fault
 # ---------------------------------------------------------------------------
@@ -404,6 +413,27 @@ def test_nonpositive_conductivity_names_node_and_material():
     with pytest.raises(MaterialDomainError, match="conductivity") as info:
         assemble_system(mesh, mats, u, u, 0.1)
     assert (info.value.node, info.value.material, info.value.value) == (j, "b", -0.5)
+
+
+def test_contact_conductivity_fault_names_node_and_material():
+    mesh = build_mesh(default_layers(120, 3))
+    mats = {"a": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)), Polynomial((1.0,))),
+            "b": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)),
+                               Polynomial((2.0, -1.0)))}
+    i_star = mesh.contact_indices[0]  # layer "a" on its left, "b" on its right
+    hot_contact = np.full(mesh.n, 1.0)
+    hot_contact[i_star] = 2.5
+    # the contact and the half point above it, of row i* + 1, both see 2.5
+    hot_pair = hot_contact.copy()
+    hot_pair[i_star + 1] = 2.5
+    calls = [lambda: contact_conductivities(mesh, mats, hot_contact)]
+    calls += [lambda u=u: assemble_system(mesh, mats, u, u, 0.1)
+              for u in (hot_contact, hot_pair)]
+    for call in calls:
+        with pytest.raises(MaterialDomainError,
+                           match=f"node {i_star} \\(material 'b'\\): conductivity") as info:
+            call()
+        assert (info.value.node, info.value.material, info.value.value) == (i_star, "b", -0.5)
 
 
 def test_assembly_evaluates_coefficients_once_per_material_not_per_node(monkeypatch):

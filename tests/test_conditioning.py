@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import (dense_solve, exact_dense_rows, pivoted_fraction_solve,
-                     rel_inf_err, td_shift_rows)
+                     reduce_rows, rel_inf_err, td_shift_rows)
 from radialheat import (LayerSpec, LinearSystem, MaterialModel, PentaMatrix,
                         Polynomial, ReductionBreakdownError, TriMatrix,
                         assemble_system, build_mesh, build_pd_shift,
                         build_td_shift, contact_conductivities,
                         is_weakly_dominant, pd_to_td, weakly_dominant_rows)
-from radialheat.bench import make_random_system
+from radialheat.bench import default_layers, make_random_system
 from radialheat.exact_solvers import exact_solve_td
 
 
@@ -141,6 +141,18 @@ def test_reduction_is_exact_over_rationals():
     assert x_pd == x_td  # componentwise exact equality
 
 
+def test_reduction_matches_row_oracle_bit_for_bit():
+    rng = np.random.default_rng(23)
+    mesh = build_mesh(default_layers(200, 5))
+    systems = [assembled(mesh)[1], make_random_system(40, 4, rng),
+               make_random_system(40, 4, rng, exact=True)]
+    for system in systems:
+        reduced = pd_to_td(system)
+        m = reduced.matrix
+        got = [band.tolist() for band in (m.sub, m.diag, m.sup, reduced.rhs)]
+        assert got == list(reduce_rows(system))
+
+
 def test_reduction_breakdown_reports_row():
     matrix = PentaMatrix(
         d2m=np.zeros(3), d1m=np.array([0.0, 1.0, 1.0]),
@@ -150,6 +162,23 @@ def test_reduction_breakdown_reports_row():
     with pytest.raises(ReductionBreakdownError) as err:
         pd_to_td(system)
     assert err.value.row == 0
+
+    # full rows 0, 3 (a contact) and 6: a zero in the neighbour row that
+    # clears one outer entry breaks down that side alone
+    n = 7
+    for row, neighbour, side in ((0, 1, "super"), (6, 5, "sub"),
+                                 (3, 2, "sub"), (3, 4, "super")):
+        matrix = PentaMatrix(
+            d2m=np.array([0, 0, 0, 1, 0, 0, 1.0]), d1m=np.array([0] + [1.0] * 6),
+            d0=np.full(n, 4.0), d1p=np.array([1.0] * 6 + [0]),
+            d2p=np.array([1, 0, 0, 1, 0, 0, 0.0]), full_rows=(0, 3, 6))
+        (matrix.d1p if side == "super" else matrix.d1m)[neighbour] = 0.0
+        with pytest.raises(ReductionBreakdownError,
+                           match=f"row {neighbour} has a zero {side}-diagonal "
+                                 f"entry; cannot eliminate the "
+                                 f"\\({row},{2 * neighbour - row}\\)") as err:
+            pd_to_td(LinearSystem(matrix, np.ones(n)))
+        assert err.value.row == row
 
 
 # ---------------------------------------------------------------------------
