@@ -9,7 +9,12 @@ current iterate.  Four shift modes decide how that system is solved:
   fixed-point form (A + P) u = rhs + P u, so even a linear problem iterates,
   and it contracts slowly when a shift entry dwarfs the row's own diagonal.
   The shift is rebuilt every iterate because the contact conductivities
-  depend on the iterate's contact temperatures.
+  depend on the iterate's contact temperatures.  On float meshes the
+  iteration is Anderson-accelerated (StepConfig.anderson_depth): the error
+  operator (A + P)^-1 P has rank at most the number of shifted rows, so
+  mixing that many past updates converges like GMRES on a linear step
+  (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), where the plain iteration
+  can stall for hundreds of passes at large tau.
 * "corrected" builds the same shift as the solver family's fixed-point mode
   (the "pd" shift for pentadiagonal solvers, the "td" shift for tridiagonal
   ones) but solves the unshifted system A u = rhs exactly.  A = M - P with
@@ -22,7 +27,8 @@ current iterate.  Four shift modes decide how that system is solved:
 
 The converged limit is independent of the shift mode.  Iteration stops when
 the sup-norm update is at most picard_tol times the sup norm of the new
-iterate; an update of exactly zero is always accepted.
+iterate; an update of exactly zero is always accepted.  The accepted iterate
+is always a Picard image, never a mixed one.
 
 Constant-coefficient problems (every material with constant rho, cv,
 conductivity and temperature-independent source) make the system linear in
@@ -37,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import LinearSystem, assemble_system, contact_conductivities
+from .assembly import LinearSystem, _assemble, assemble_system
 from .band_solvers import SOLVERS, Solver, sup_norm
 from .conditioning import ShiftDiag, build_pd_shift, build_td_shift, pd_to_td
 from .exact_solvers import SingularMatrixError
@@ -48,13 +54,20 @@ SHIFT_MODES = ("none", "pd", "td", "corrected")
 
 
 class NonConvergenceError(RuntimeError):
-    """Picard iteration hit its cap; carries the last iterate difference."""
+    """Picard iteration hit its cap.
 
-    def __init__(self, last_diff, max_picard: int):
+    Carries what the stop test saw at the last pass: last_diff, the sup-norm
+    update; relative, that update over the sup norm of the new iterate; and
+    tol, the picard_tol that relative had to reach.
+    """
+
+    def __init__(self, last_diff, relative, tol, max_picard: int):
         super().__init__(
-            f"no convergence within {max_picard} iterations "
-            f"(last update {last_diff})")
+            f"last relative update {float(relative):.2g} > picard_tol "
+            f"{float(tol):g} after {max_picard} passes")
         self.last_diff = last_diff
+        self.relative = relative
+        self.tol = tol
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,14 @@ class StepConfig:
 
     picard_tol is relative: a step has converged once the sup-norm update is
     at most picard_tol times the sup norm of the new iterate.
+
+    anderson_depth is the number of past updates that Anderson mixing
+    combines in the "pd" and "td" modes on float meshes; 0 runs the paper's
+    plain fixed-point iteration.  The shifted map's error operator has rank
+    at most the number of shifted rows (K + 2 on a mesh with K contacts, plus
+    any extended rows), and a depth at least that rank lets the mixing
+    converge like GMRES on a linear step.  The other modes and exact meshes
+    always iterate plainly.
     """
 
     tau: object
@@ -78,6 +99,7 @@ class StepConfig:
     max_picard: int = 100
     solver_id: str = "NTDM"
     shift_mode: str = "corrected"
+    anderson_depth: int = 16
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -86,6 +108,9 @@ class StepConfig:
             raise ValueError("picard_tol must be positive")
         if self.max_picard < 1:
             raise ValueError("max_picard must be >= 1")
+        depth = self.anderson_depth
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+            raise ValueError(f"anderson_depth must be an int >= 0, got {depth!r}")
         if self.solver_id not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver_id!r}")
         if self.shift_mode not in SHIFT_MODES:
@@ -176,23 +201,66 @@ def _is_linear(materials: Mapping[str, MaterialModel]) -> bool:
     return all(m.constant_coefficients for m in materials.values())
 
 
+class _Anderson:
+    """Type-II Anderson mixing of Picard images (Anderson, J. ACM 12, 1965;
+    Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
+
+    mix(f, g) takes the Picard image g of the current iterate u and the
+    update f = g - u, and returns the next iterate g - dG gamma.  The rows of
+    dF and dG are the differences between consecutive updates and images of
+    the last `rows` calls, and gamma minimises ||f - dF^T gamma||_2.  It is
+    solved from the rows x rows normal equations, which at N = 1e3 and 16
+    rows take about a sixth of the time of np.linalg.lstsq.  A singular or
+    non-finite solve clears the history and returns g, the plain Picard
+    step.
+    """
+
+    def __init__(self, rows: int, n: int):
+        self.df = np.empty((rows, n))
+        self.dg = np.empty((rows, n))
+        self.used = 0  # rows [0, used) hold differences
+        self.slot = 0  # the row the next difference overwrites
+        self.last = None  # (f, g) of the previous call
+
+    def mix(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        if self.last is not None:
+            np.subtract(f, self.last[0], out=self.df[self.slot])
+            np.subtract(g, self.last[1], out=self.dg[self.slot])
+            self.slot = (self.slot + 1) % len(self.df)
+            self.used = min(self.used + 1, len(self.df))
+        self.last = f, g
+        if not self.used:
+            return g
+        df = self.df[:self.used]
+        try:
+            gamma = np.linalg.solve(df @ df.T, df @ f)
+        except np.linalg.LinAlgError:
+            gamma = None
+        if gamma is None or not np.all(np.isfinite(gamma)):
+            self.used = self.slot = 0
+            return g
+        return g - gamma @ self.dg[:self.used]
+
+
 def _picard_pass(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
                  u_iter, u_prev, cfg: StepConfig, extra_source) -> np.ndarray:
     """One Picard pass: assemble with coefficients frozen at u_iter and solve
     in cfg's shift mode.  The pass's systems die with this frame, so a
     NonConvergenceError traceback kept by a caller does not hold them."""
     solver = SOLVERS[cfg.solver_id]
-    system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
-                             extra_source=extra_source)
-    if solver.kernel.shape == "td":
-        system = pd_to_td(system)
-    if cfg.shift_mode == "none":
-        return solver.solution(system)
-    if solver.kernel.shape == "td":
+    if solver.kernel.shape == "pd" and cfg.shift_mode != "none":
+        # the pd shift reuses the contact conductivities of the assembly
+        system, contact_lams = _assemble(mesh, materials, u_iter, u_prev,
+                                         cfg.tau, extra_source)
+        shift = build_pd_shift(mesh, contact_lams)
+    else:  # the public entry point, which perfbench's traced runs wrap
+        system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
+                                 extra_source=extra_source)
+        if solver.kernel.shape == "td":
+            system = pd_to_td(system)
+        if cfg.shift_mode == "none":
+            return solver.solution(system)
         shift = build_td_shift(system.matrix)
-    else:
-        shift = build_pd_shift(
-            mesh, contact_conductivities(mesh, materials, u_iter))
     if cfg.shift_mode == "corrected":
         return _corrected_solve(system, shift, solver)
     shifted = LinearSystem(shift.apply(system.matrix),
@@ -208,27 +276,39 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     Iterates u^(k+1) = solve(A(u^k), rhs(u^k)) from u^(0) = u_old, where the
     "pd" and "td" modes solve the shifted fixed point (A + P) u = rhs + P u^k
     instead, until the sup-norm update is at most cfg.picard_tol times the
-    sup norm of u^(k+1).  extra_source is a length-N vector added to the
-    interior right-hand sides (evaluate any space/time source at the new
-    time level before calling).
+    sup norm of u^(k+1).  On float meshes those two modes step to the
+    Anderson mix of the last cfg.anderson_depth updates; the stop test is
+    the same, so the accepted field is still a Picard image.  Raises
+    NonConvergenceError after cfg.max_picard passes without meeting the
+    stop test.  extra_source is a length-N vector added to the interior
+    right-hand sides (evaluate any space/time source at the new time level
+    before calling).
     """
     u_prev = u_old.values
     u_iter = u_prev
     linear = _is_linear(materials)
+    mixer = None
+    if cfg.anderson_depth and cfg.shift_mode in ("pd", "td") and not mesh.is_exact:
+        # no step keeps more differences than it runs passes
+        mixer = _Anderson(min(cfg.anderson_depth, cfg.max_picard), mesh.n)
 
     for k in range(1, cfg.max_picard + 1):
         u_next = _picard_pass(mesh, materials, u_iter, u_prev, cfg, extra_source)
         if linear and cfg.shift_mode in ("none", "corrected"):
             # system and RHS do not depend on the iterate: one solve is exact
             return TemperatureField(u_next, u_old.time + cfg.tau), k
-        diff = sup_norm(u_next - u_iter)
-        u_iter = u_next
+        update = u_next - u_iter
+        diff, norm = sup_norm(update), sup_norm(u_next)
         # relative stop; <= also accepts an exactly zero update at u = 0,
-        # and a NaN update is never accepted
-        if diff <= cfg.picard_tol * sup_norm(u_next):
+        # and a NaN update is never accepted.  Only a Picard image u_next is
+        # ever accepted, so mixing can cost passes but not accuracy.
+        if diff <= cfg.picard_tol * norm:
             return TemperatureField(u_next, u_old.time + cfg.tau), k
+        u_iter = u_next if mixer is None else mixer.mix(update, u_next)
 
-    raise NonConvergenceError(diff, cfg.max_picard)
+    mixer = None  # a kept traceback holds this frame, not the mixing history
+    relative = diff / norm if norm else float("inf")
+    raise NonConvergenceError(diff, relative, cfg.picard_tol, cfg.max_picard)
 
 
 def run(mesh: RadialMesh, materials: Mapping[str, MaterialModel],

@@ -10,7 +10,8 @@ from radialheat import (SOLVERS, LayerSpec, LinearSystem, MaterialModel,
                         TemperatureField, advance, assemble_system,
                         build_mesh, build_pd_shift, build_td_shift,
                         contact_conductivities, pd_to_td, run)
-from radialheat import band_solvers, time_stepper
+from radialheat import assembly, band_solvers, time_stepper
+from radialheat.bench import constructed_profile, default_layers
 
 LINEAR_MATERIALS = {
     "a": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)), Polynomial((2.0,))),
@@ -24,6 +25,26 @@ NONLINEAR_MATERIALS = {
     "b": MaterialModel(Polynomial((2.0,)), Polynomial((1.0,)),
                        Polynomial((0.5, 0.25))),
 }
+
+
+# the nonlinear cylinder of the benchmark's time-stepping workloads
+CYLINDER_MATERIALS = {
+    "a": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((1, 0.5))),
+    "b": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((3,)),
+                       Polynomial((1,))),
+}
+
+FIXED_POINT_MODES = (("pd", "MNPDM"), ("td", "NTDM"))
+TAU_OVER_H2 = (1e-2, 1.0, 1e2, 1e3)
+
+
+def shifted_cylinder():
+    """N = 200, K = 3 default_layers cylinder, a seeded field 1 + 0.15625 q
+    with q rising from 0 to 1, and the smallest squared step."""
+    mesh = build_mesh(default_layers(200, 3))
+    rise = constructed_profile(mesh, 1) - 1
+    u0 = TemperatureField(1 + 0.15625 * rise / rise.max(), 0.0)
+    return mesh, u0, float(min(mesh.steps)) ** 2
 
 
 def two_layer_mesh():
@@ -110,20 +131,38 @@ def test_zero_update_at_zero_field_is_accepted():
         assert not np.any(field.values)
 
 
+def _held(value):
+    """value, its items if it is a list or tuple, and its attributes."""
+    yield value
+    if isinstance(value, (list, tuple)):
+        yield from value
+    yield from getattr(value, "__dict__", {}).values()
+
+
 def test_max_picard_exceeded_raises():
     mesh = two_layer_mesh()
     u0 = bumpy_field(mesh)
-    cfg = StepConfig(tau=0.05, picard_tol=1e-12, max_picard=2,
-                     solver_id="NTDM", shift_mode="td")
-    with pytest.raises(NonConvergenceError) as err:
-        advance(mesh, LINEAR_MATERIALS, u0, cfg)
-    assert err.value.last_diff > 0
-    # no frame of the traceback holds a pass's system, so a caller that keeps
-    # the error does not keep the failed step's matrices alive
-    tb = err.value.__traceback__
-    while tb is not None:
-        assert not any(isinstance(v, LinearSystem) for v in tb.tb_frame.f_locals.values())
-        tb = tb.tb_next
+    # Anderson mixing converges here in 6 passes: at 5 it holds a history
+    for max_picard in (2, 5):
+        cfg = StepConfig(tau=0.05, picard_tol=1e-12, max_picard=max_picard,
+                         solver_id="NTDM", shift_mode="td")
+        with pytest.raises(NonConvergenceError) as err:
+            advance(mesh, LINEAR_MATERIALS, u0, cfg)
+        assert err.value.last_diff > 0
+        assert err.value.relative > err.value.tol == 1e-12
+        assert str(err.value) == (
+            f"last relative update {err.value.relative:.2g} > picard_tol "
+            f"1e-12 after {max_picard} passes")
+        # no frame of the traceback holds a pass's system or the mixing
+        # history, so a caller that keeps the error does not keep the failed
+        # step's matrices alive
+        tb = err.value.__traceback__
+        while tb is not None:
+            held = [x for v in tb.tb_frame.f_locals.values() for x in _held(v)]
+            assert not any(isinstance(x, LinearSystem) for x in held)
+            assert not any(isinstance(x, np.ndarray) and x.size > mesh.n
+                           for x in held)
+            tb = tb.tb_next
 
 
 def test_run_rejects_zero_steps():
@@ -180,6 +219,10 @@ def test_config_validation():
         StepConfig(tau=0.1, solver_id="NPDM", shift_mode="td")
     with pytest.raises(ValueError, match="max_picard must be >= 1"):
         StepConfig(tau=0.1, max_picard=0)
+    for depth in (-1, 2.0, True, "16"):
+        with pytest.raises(ValueError, match="anderson_depth must be an int >= 0"):
+            StepConfig(tau=0.1, anderson_depth=depth)
+    assert StepConfig(tau=0.1).anderson_depth == 16
     assert StepConfig(tau=0.1).shift_mode == "corrected"
     for solver in ("NPDM", "MNPDM", "NTDM", "SPDM", "STDM"):
         StepConfig(tau=0.1, solver_id=solver, shift_mode="corrected")
@@ -224,3 +267,89 @@ def test_corrected_pass_factors_once_and_matches_column_solves(monkeypatch,
         expected = expected + w * z
     assert len(rows) >= 3
     assert np.array_equal(x, expected)
+
+
+def test_anderson_converges_every_shifted_step():
+    # the plain iteration fails 5 of these 8 steps within 100 passes
+    mesh, u0, h2 = shifted_cylinder()
+    for factor in TAU_OVER_H2:
+        reference = advance(mesh, CYLINDER_MATERIALS, u0,
+                            StepConfig(tau=factor * h2, solver_id="NPDM"))[0].values
+        for mode, solver in FIXED_POINT_MODES:
+            field, passes = advance(mesh, CYLINDER_MATERIALS, u0, StepConfig(
+                tau=factor * h2, solver_id=solver, shift_mode=mode))
+            assert passes <= 21
+            assert (np.max(np.abs(field.values - reference))
+                    <= 1e-10 * np.max(np.abs(reference)))
+
+
+def _plain_picard(mesh, materials, u0, cfg):
+    """The paper's fixed-point iteration on its own: (field, passes), or
+    (None, None) when it does not converge within cfg.max_picard passes."""
+    u = u0.values
+    for k in range(1, cfg.max_picard + 1):
+        u_next = time_stepper._picard_pass(mesh, materials, u, u0.values, cfg, None)
+        converged = band_solvers.sup_norm(u_next - u) <= (
+            cfg.picard_tol * band_solvers.sup_norm(u_next))
+        u = u_next
+        if converged:
+            return u, k
+    return None, None
+
+
+def test_anderson_depth_zero_is_the_plain_iteration():
+    mesh, u0, h2 = shifted_cylinder()
+    pattern = []
+    for mode, solver in FIXED_POINT_MODES:
+        for factor in TAU_OVER_H2:
+            cfg = StepConfig(tau=factor * h2, solver_id=solver, shift_mode=mode,
+                             anderson_depth=0)
+            expected, passes = _plain_picard(mesh, CYLINDER_MATERIALS, u0, cfg)
+            if passes is None:
+                with pytest.raises(NonConvergenceError):
+                    advance(mesh, CYLINDER_MATERIALS, u0, cfg)
+            else:
+                field, k = advance(mesh, CYLINDER_MATERIALS, u0, cfg)
+                assert k == passes
+                assert field.values.tobytes() == expected.tobytes()
+            pattern.append(passes)
+    assert pattern == [24, 49, None, None, None, 42, None, None]
+
+
+def test_exact_fixed_point_steps_iterate_plainly():
+    mesh = build_mesh([LayerSpec(Fraction(1), Fraction(2), "a", 4),
+                       LayerSpec(Fraction(2), Fraction(3), "b", 4)])
+    mats = {
+        "a": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((2,))),
+        "b": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((1,))),
+    }
+    values = np.array([Fraction(1) + Fraction(i, 10) for i in range(mesh.n)],
+                      dtype=object)
+    u0 = TemperatureField(values, Fraction(0))
+    for (mode, solver), expected in zip((("pd", "SPDM"), ("td", "STDM")), (10, 9)):
+        results = [advance(mesh, mats, u0, StepConfig(
+            tau=Fraction(1, 10), picard_tol=1e-3, solver_id=solver,
+            shift_mode=mode, anderson_depth=depth)) for depth in (16, 0)]
+        (field, passes), (plain, plain_passes) = results
+        assert passes == plain_passes == expected
+        assert field.values.tolist() == plain.values.tolist()
+        assert all(isinstance(v, Fraction) for v in field.values.tolist())
+
+
+@pytest.mark.parametrize("solver,shift", [("MNPDM", "pd"), ("NPDM", "corrected")])
+def test_one_contact_conductivities_call_per_pass(monkeypatch, solver, shift):
+    calls = []
+    evaluate = assembly.contact_conductivities
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(assembly, "contact_conductivities", counted)
+    monkeypatch.setattr(time_stepper, "contact_conductivities", counted,
+                        raising=False)
+    mesh = two_layer_mesh()
+    _, passes = advance(mesh, NONLINEAR_MATERIALS, bumpy_field(mesh, amp=0.3),
+                        StepConfig(tau=0.1, solver_id=solver, shift_mode=shift))
+    assert passes >= 2
+    assert len(calls) == passes
