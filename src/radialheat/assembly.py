@@ -363,13 +363,6 @@ def assemble_system(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
 
     full_rows of the result is exactly {0, N-1} union the contact indices.
     """
-    return _assemble(mesh, materials, u_guess, u_old, tau, extra_source)[0]
-
-
-def _assemble(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
-              u_guess, u_old, tau, extra_source) -> tuple[LinearSystem, list]:
-    """assemble_system, also returning the (lambda_left, lambda_right) pairs
-    of contact_conductivities that the contact rows were assembled with."""
     n = mesh.n
     exact = mesh.is_exact
     u = _field(u_guess, exact)
@@ -443,5 +436,4 @@ def _assemble(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
          d2p[i_star]) = assemble_contact_row(mesh, lam_l, lam_r, i_star)
 
     full_rows = tuple(sorted({0, n - 1, *mesh.contact_indices}))
-    system = LinearSystem(PentaMatrix(d2m, d1m, d0, d1p, d2p, full_rows), rhs)
-    return system, contact_lams
+    return LinearSystem(PentaMatrix(d2m, d1m, d0, d1p, d2p, full_rows), rhs)

@@ -86,19 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", default=StepConfig.shift_mode, choices=SHIFT_MODES,
                    help="corrected: solve the unshifted system exactly "
                         "through the dominance shift; pd, td: the paper's "
-                        "shifted fixed point, Anderson-accelerated (see "
-                        "--anderson); none: the raw system")
-    p.add_argument("--anderson", type=int, metavar="DEPTH",
-                   default=StepConfig.anderson_depth,
-                   help="past updates Anderson mixing combines in the pd and "
-                        "td shifts; 0 iterates the paper's plain fixed point")
+                        "shifted fixed point, Anderson-accelerated on float "
+                        "meshes; none: the raw system")
     p.add_argument("--picard-tol", type=float, default=StepConfig.picard_tol,
                    help="stop once the sup-norm update is at most this "
                         "times the sup norm of the iterate")
     p.add_argument("--max-picard", type=int, default=StepConfig.max_picard,
                    help="iteration cap; the pd and td shifts solve a fixed "
                         "point and need more iterations than the other "
-                        "modes, far more with --anderson 0")
+                        "modes")
     p.add_argument("--out", default=None,
                    help="write the final profile as CSV (r,u)")
     return parser
@@ -168,7 +164,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"--steps must be >= 1, got {args.steps}")
         cfg = StepConfig(tau=args.tau, picard_tol=args.picard_tol,
                          max_picard=args.max_picard, solver_id=args.solver,
-                         shift_mode=args.shift, anderson_depth=args.anderson)
+                         shift_mode=args.shift)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

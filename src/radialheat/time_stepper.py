@@ -10,11 +10,12 @@ current iterate.  Four shift modes decide how that system is solved:
   and it contracts slowly when a shift entry dwarfs the row's own diagonal.
   The shift is rebuilt every iterate because the contact conductivities
   depend on the iterate's contact temperatures.  On float meshes the
-  iteration is Anderson-accelerated (StepConfig.anderson_depth): the error
-  operator (A + P)^-1 P has rank at most the number of shifted rows, so
-  mixing that many past updates converges like GMRES on a linear step
+  iteration is Anderson-accelerated: the error operator (A + P)^-1 P has
+  rank at most the number of shifted rows, K + 2 on a mesh with K contacts,
+  so mixing that many past updates converges like GMRES on a linear step
   (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), where the plain iteration
-  can stall for hundreds of passes at large tau.
+  can stall for hundreds of passes at large tau.  Exact meshes iterate
+  plainly.
 * "corrected" builds the same shift as the solver family's fixed-point mode
   (the "pd" shift for pentadiagonal solvers, the "td" shift for tridiagonal
   ones) but solves the unshifted system A u = rhs exactly.  A = M - P with
@@ -43,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import LinearSystem, _assemble, assemble_system
+from .assembly import LinearSystem, assemble_system, contact_conductivities
 from .band_solvers import SOLVERS, Solver, sup_norm
 from .conditioning import ShiftDiag, build_pd_shift, build_td_shift, pd_to_td
 from .exact_solvers import SingularMatrixError
@@ -84,14 +85,6 @@ class StepConfig:
 
     picard_tol is relative: a step has converged once the sup-norm update is
     at most picard_tol times the sup norm of the new iterate.
-
-    anderson_depth is the number of past updates that Anderson mixing
-    combines in the "pd" and "td" modes on float meshes; 0 runs the paper's
-    plain fixed-point iteration.  The shifted map's error operator has rank
-    at most the number of shifted rows (K + 2 on a mesh with K contacts, plus
-    any extended rows), and a depth at least that rank lets the mixing
-    converge like GMRES on a linear step.  The other modes and exact meshes
-    always iterate plainly.
     """
 
     tau: object
@@ -99,7 +92,6 @@ class StepConfig:
     max_picard: int = 100
     solver_id: str = "NTDM"
     shift_mode: str = "corrected"
-    anderson_depth: int = 16
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -108,9 +100,6 @@ class StepConfig:
             raise ValueError("picard_tol must be positive")
         if self.max_picard < 1:
             raise ValueError("max_picard must be >= 1")
-        depth = self.anderson_depth
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-            raise ValueError(f"anderson_depth must be an int >= 0, got {depth!r}")
         if self.solver_id not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver_id!r}")
         if self.shift_mode not in SHIFT_MODES:
@@ -201,6 +190,13 @@ def _is_linear(materials: Mapping[str, MaterialModel]) -> bool:
     return all(m.constant_coefficients for m in materials.values())
 
 
+# Past updates Anderson mixing keeps beyond the K + 2 shifted rows, for the
+# directions that the coefficients' drift between passes adds.  On cylinders
+# with K = 1, 3, 11 and 30 contacts at tau = 1e3 h^2, margins of 5 to 8 took
+# the fewest passes (12, 18, 28 and 50-52); margin 0 took up to 6 more.
+_ANDERSON_MARGIN = 6
+
+
 class _Anderson:
     """Type-II Anderson mixing of Picard images (Anderson, J. ACM 12, 1965;
     Walker & Ni, SIAM J. Numer. Anal. 49, 2011).
@@ -248,19 +244,17 @@ def _picard_pass(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     in cfg's shift mode.  The pass's systems die with this frame, so a
     NonConvergenceError traceback kept by a caller does not hold them."""
     solver = SOLVERS[cfg.solver_id]
-    if solver.kernel.shape == "pd" and cfg.shift_mode != "none":
-        # the pd shift reuses the contact conductivities of the assembly
-        system, contact_lams = _assemble(mesh, materials, u_iter, u_prev,
-                                         cfg.tau, extra_source)
-        shift = build_pd_shift(mesh, contact_lams)
-    else:  # the public entry point, which perfbench's traced runs wrap
-        system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
-                                 extra_source=extra_source)
-        if solver.kernel.shape == "td":
-            system = pd_to_td(system)
-        if cfg.shift_mode == "none":
-            return solver.solution(system)
+    system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
+                             extra_source=extra_source)
+    if solver.kernel.shape == "td":
+        system = pd_to_td(system)
+    if cfg.shift_mode == "none":
+        return solver.solution(system)
+    if solver.kernel.shape == "td":
         shift = build_td_shift(system.matrix)
+    else:
+        shift = build_pd_shift(
+            mesh, contact_conductivities(mesh, materials, u_iter))
     if cfg.shift_mode == "corrected":
         return _corrected_solve(system, shift, solver)
     shifted = LinearSystem(shift.apply(system.matrix),
@@ -277,10 +271,10 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     "pd" and "td" modes solve the shifted fixed point (A + P) u = rhs + P u^k
     instead, until the sup-norm update is at most cfg.picard_tol times the
     sup norm of u^(k+1).  On float meshes those two modes step to the
-    Anderson mix of the last cfg.anderson_depth updates; the stop test is
-    the same, so the accepted field is still a Picard image.  Raises
-    NonConvergenceError after cfg.max_picard passes without meeting the
-    stop test.  extra_source is a length-N vector added to the interior
+    Anderson mix of the last K + 2 + _ANDERSON_MARGIN updates, K the mesh's
+    contact count, and at most cfg.max_picard; the stop test is the same, so
+    the accepted field is still a Picard image.  Raises NonConvergenceError
+    after cfg.max_picard passes without meeting the stop test.  extra_source is a length-N vector added to the interior
     right-hand sides (evaluate any space/time source at the new time level
     before calling).
     """
@@ -288,9 +282,10 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     u_iter = u_prev
     linear = _is_linear(materials)
     mixer = None
-    if cfg.anderson_depth and cfg.shift_mode in ("pd", "td") and not mesh.is_exact:
+    if cfg.shift_mode in ("pd", "td") and not mesh.is_exact:
         # no step keeps more differences than it runs passes
-        mixer = _Anderson(min(cfg.anderson_depth, cfg.max_picard), mesh.n)
+        depth = mesh.k + 2 + _ANDERSON_MARGIN
+        mixer = _Anderson(min(depth, cfg.max_picard), mesh.n)
 
     for k in range(1, cfg.max_picard + 1):
         u_next = _picard_pass(mesh, materials, u_iter, u_prev, cfg, extra_source)

@@ -287,28 +287,22 @@ def test_cli_simulate_reports_nonconvergence(tmp_path, capsys):
     # forwarded --max-picard cap ends the run with a one-line error
     cfg = tmp_path / "case.cfg"
     cfg.write_text(CONFIG_TEXT)
-    for anderson in ([], ["--anderson", "0"]):
-        code = cli_main(["simulate", "--config", str(cfg), "--tau", "0.1",
-                         "--steps", "3", "--u0", "2.0", "--shift", "td",
-                         "--max-picard", "2", *anderson])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "step 1" in err and "NonConvergenceError" in err
-        assert "> picard_tol 1e-12 after 2 passes" in err
+    code = cli_main(["simulate", "--config", str(cfg), "--tau", "0.1",
+                     "--steps", "3", "--u0", "2.0", "--shift", "td",
+                     "--max-picard", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "step 1" in err and "NonConvergenceError" in err
+    assert "> picard_tol 1e-12 after 2 passes" in err
 
 
-def test_cli_simulate_anderson_depth(tmp_path, capsys):
-    # the plain td fixed point stalls above picard_tol; mixing converges
+def test_cli_simulate_td_shift_converges(tmp_path):
+    # the plain td fixed point stalls above picard_tol on this case within
+    # the default 100 passes; Anderson mixing converges every step
     cfg = tmp_path / "case.cfg"
     cfg.write_text(CONFIG_TEXT)
-    args = ["simulate", "--config", str(cfg), "--tau", "0.1", "--steps", "3",
-            "--u0", "2.0", "--shift", "td"]
-    assert cli_main(args) == 0
-    capsys.readouterr()
-    assert cli_main(args + ["--anderson", "0"]) == 1
-    assert "step 1" in capsys.readouterr().err
-    assert cli_main(args + ["--anderson", "-1"]) == 2
-    assert "anderson_depth must be an int >= 0" in capsys.readouterr().err
+    assert cli_main(["simulate", "--config", str(cfg), "--tau", "0.1",
+                     "--steps", "3", "--u0", "2.0", "--shift", "td"]) == 0
 
 
 def test_cli_simulate_pentadiagonal_solvers_take_the_default_shift(tmp_path):
