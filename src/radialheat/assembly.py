@@ -14,8 +14,10 @@ Row types:
 The sign of every boundary/contact row is chosen to make its main-diagonal
 entry positive.  With that scaling the dominance deficit of row 0 is exactly
 2*h_1^2, of row N-1 exactly 2*h_{N-1}^2 and of a contact row exactly the
-shift entry produced by conditioning.build_pd_shift; interior rows are
-already weakly dominant on their own.
+paper's two-sided lambda*h term; interior rows are already weakly dominant
+on their own.  conditioning.build_pd_shift reads these deficits off the
+assembled matrix, so the contact stencil is stated here only; the closed
+forms are kept in tests/oracles.py as the oracle.
 
 assemble_system builds all interior rows in one whole-array pass.  For each
 material it gathers the material's non-contact interior nodes by index and
@@ -199,9 +201,6 @@ class LinearSystem:
 
     def residual(self, x) -> np.ndarray:
         return self.matrix.matvec(x) - self.rhs
-
-    def copy(self) -> "LinearSystem":
-        return LinearSystem(self.matrix.copy(), self.rhs.copy())
 
 
 # ---------------------------------------------------------------------------

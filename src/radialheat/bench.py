@@ -39,7 +39,7 @@ from time import perf_counter
 import numpy as np
 
 from .assembly import (LinearSystem, PentaMatrix, TriMatrix, _field,
-                       assemble_system, contact_conductivities)
+                       assemble_system)
 from .band_solvers import (SOLVERS, BreakdownError, kernel_inputs,
                            raise_breakdown, sup_norm)
 from .conditioning import build_pd_shift, build_td_shift, pd_to_td
@@ -93,6 +93,8 @@ class BenchScenario:
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "solvers", tuple(self.solvers))
+        if not self.n_values or not self.solvers:
+            raise ScenarioError("need at least one size and one solver")
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ScenarioError(f"unknown solver {s!r}")
@@ -189,8 +191,7 @@ def build_bench_case(n: int, k: int, seed: int, exact: bool = False) -> BenchCas
     y_list = y_bar.tolist()
     system = assemble_system(mesh, DEFAULT_MATERIALS, y_list, y_list, tau)
 
-    pd_shift = build_pd_shift(
-        mesh, contact_conductivities(mesh, DEFAULT_MATERIALS, y_list))
+    pd_shift = build_pd_shift(system.matrix)
     shifted_pd = pd_shift.apply(system.matrix)
     pd_system = LinearSystem(shifted_pd, shifted_pd.matvec(y_bar))
 

@@ -4,15 +4,17 @@ The assembled pentadiagonal matrix is weakly dominant in every interior row
 but strictly deficient in rows 0, N-1 and the contact rows.  Two remedies
 are provided:
 
-* build_pd_shift: a diagonal matrix P with entries 2*h_1^2 and 2*h_{N-1}^2
-  at the ends and, at each contact row,
+* build_pd_shift: a diagonal matrix P whose entry at row 0, row N-1 and
+  each contact row is that row's dominance deficit, read off the assembled
+  matrix as sum |off-diagonal entries| - main, so A + P is weakly dominant
+  everywhere.  The deficit equals the paper's closed form: 2*h_1^2 and
+  2*h_{N-1}^2 at the ends and, at each contact row,
 
       p = 2*lam_left*h_{i*} / (h_{i*-1} (h_{i*}+h_{i*-1}))
         + 2*lam_right*h_{i*+1} / (h_{i*+2} (h_{i*+1}+h_{i*+2})),
 
-  each entry being exactly that row's dominance deficit, so A + P is weakly
-  dominant everywhere.  The solved system becomes a fixed point:
-  (A+P) u = rhs + P u.
+  which tests/oracles.py keeps as the oracle.  The solved system becomes a
+  fixed point: (A+P) u = rhs + P u.
 
 * pd_to_td + build_td_shift: pivot-free local eliminations remove the four
   outer entries (row 1 clears row 0's, row N-2 clears row N-1's, rows
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LinearSystem, PentaMatrix, TriMatrix, _field, _zeros
-from .mesh import RadialMesh
+from .assembly import LinearSystem, PentaMatrix, TriMatrix, _zeros
 
 #: Relative slack of build_td_shift's dominance scan, absorbing float
 #: rounding of the reduction.
@@ -74,35 +75,17 @@ class ShiftDiag:
         return self.entries * np.asarray(u)
 
 
-def build_pd_shift(mesh: RadialMesh, contact_lams) -> ShiftDiag:
-    """Dominance shift for the assembled pentadiagonal system.
+def build_pd_shift(matrix: PentaMatrix) -> ShiftDiag:
+    """Dominance shift for an assembled pentadiagonal matrix.
 
-    contact_lams pairs up with mesh.contact_indices and holds the
-    (lambda_left, lambda_right) conductivities at each contact temperature,
-    i.e. the same values the contact rows were assembled with.
+    Each row in matrix.full_rows gets its dominance deficit,
+    sum |off-diagonal entries| - main; for an assembled matrix that is the
+    paper's closed form (see the module docstring) and positive.
     """
-    n = mesh.n
-    steps = mesh.steps
-    entries = [0] * n
-    entries[0] = 2 * steps[0] * steps[0]
-    entries[n - 1] = 2 * steps[-1] * steps[-1]
-    contact_lams = list(contact_lams)
-    if len(contact_lams) != mesh.k:
-        raise ValueError(
-            f"need one conductivity pair per contact ({mesh.k}), "
-            f"got {len(contact_lams)}"
-        )
-    for i_star, (lam_l, lam_r) in zip(mesh.contact_indices, contact_lams):
-        h_im1 = steps[i_star - 2]
-        h_i = steps[i_star - 1]
-        h_ip1 = steps[i_star]
-        h_ip2 = steps[i_star + 1]
-        entries[i_star] = (
-            2 * lam_l * h_i / (h_im1 * (h_i + h_im1))
-            + 2 * lam_r * h_ip1 / (h_ip2 * (h_ip1 + h_ip2))
-        )
-    designated = tuple(sorted({0, n - 1} | set(mesh.contact_indices)))
-    return ShiftDiag(_field(entries, mesh.is_exact), designated)
+    rows = list(matrix.full_rows)
+    entries = _zeros(matrix.n, matrix.is_exact)
+    entries[rows] = _off_diagonal_mass(matrix, rows) - matrix.main[rows]
+    return ShiftDiag(entries, matrix.full_rows)
 
 
 def pd_to_td(system: LinearSystem) -> LinearSystem:
@@ -146,26 +129,28 @@ def pd_to_td(system: LinearSystem) -> LinearSystem:
     return LinearSystem(TriMatrix(*tri, contact_rows), rhs)
 
 
-def weakly_dominant_rows(matrix, rtol: float = 0.0) -> list[bool]:
-    """Row-by-row weak diagonal dominance scan: |diag| >= sum |off-diag|.
+def _off_diagonal_mass(matrix, rows=slice(None)) -> np.ndarray:
+    """sum |off-diagonal entries| of each of the given rows, adding the bands
+    lowest offset first."""
+    bands = matrix.bands()
+    mid = len(bands) // 2
+    return sum(np.abs(band[rows]) for j, band in enumerate(bands) if j != mid)
+
+
+def weakly_dominant_rows(matrix, rtol: float = 0.0) -> np.ndarray:
+    """Per-row weak diagonal dominance: |diag| >= sum |off-diag|.
 
     rtol loosens the comparison by rtol * (row magnitude) to absorb float
     rounding; exact (object) matrices are scanned exactly.
     """
-    n = matrix.n
-    flags = []
-    bands = matrix.bands()
-    mid = len(bands) // 2
-    for i in range(n):
-        diag = abs(bands[mid][i])
-        off = sum(abs(band[i]) for j, band in enumerate(bands) if j != mid)
-        slack = rtol * max(diag, off) if rtol else 0
-        flags.append(diag + slack >= off)
-    return flags
+    diag = np.abs(matrix.main)
+    off = _off_diagonal_mass(matrix)
+    slack = rtol * np.maximum(diag, off) if rtol else 0
+    return np.asarray(diag + slack >= off, dtype=bool)
 
 
 def is_weakly_dominant(matrix, rtol: float = 0.0) -> bool:
-    return all(weakly_dominant_rows(matrix, rtol))
+    return bool(np.all(weakly_dominant_rows(matrix, rtol)))
 
 
 def build_td_shift(td: TriMatrix) -> ShiftDiag:
@@ -178,22 +163,18 @@ def build_td_shift(td: TriMatrix) -> ShiftDiag:
     whole arrays; object (exact) matrices are scanned exactly.
     """
     n = td.n
-    exact = td.is_exact
-    designated = tuple(sorted({0, n - 1} | set(td.contact_rows)))
-    entries = _zeros(n, exact)
-    entries[0] = abs(td.sup[0])
-    entries[n - 1] = abs(td.sub[n - 1])
-    contacts = list(td.contact_rows)
-    entries[contacts] = np.abs(td.sub[contacts]) + np.abs(td.sup[contacts])
+    designated = sorted({0, n - 1} | set(td.contact_rows))
+    entries = _zeros(n, td.is_exact)
+    off = _off_diagonal_mass(td)
+    entries[designated] = off[designated]
 
-    # rows 0 and N-1 are designated, so only |sub| + |sup| rows are scanned
-    off = np.abs(td.sub) + np.abs(td.sup)
     deficit = off - td.diag
-    if exact:
+    if td.is_exact:
         short = np.asarray(deficit > 0, dtype=bool)
     else:
         short = deficit > TD_SHIFT_RTOL * np.maximum(np.abs(td.diag), off)
-    short[list(designated)] = False
+    short[designated] = False
     extended = np.flatnonzero(short)
     entries[extended] = deficit[extended]
-    return ShiftDiag(entries, designated, tuple(int(i) for i in extended))
+    return ShiftDiag(entries, tuple(designated),
+                     tuple(int(i) for i in extended))

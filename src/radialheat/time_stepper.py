@@ -8,8 +8,8 @@ current iterate.  Four shift modes decide how that system is solved:
 * "pd" and "td" are the paper's dominance shifts: the solved system is the
   fixed-point form (A + P) u = rhs + P u, so even a linear problem iterates,
   and it contracts slowly when a shift entry dwarfs the row's own diagonal.
-  The shift is rebuilt every iterate because the contact conductivities
-  depend on the iterate's contact temperatures.  On float meshes the
+  The shift is read off every iterate's assembled matrix, whose contact
+  rows depend on the iterate's contact temperatures.  On float meshes the
   iteration is Anderson-accelerated: the error operator (A + P)^-1 P has
   rank at most the number of shifted rows, K + 2 on a mesh with K contacts,
   so mixing that many past updates converges like GMRES on a linear step
@@ -44,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .assembly import LinearSystem, assemble_system, contact_conductivities
+from .assembly import LinearSystem, assemble_system
 from .band_solvers import SOLVERS, Solver, sup_norm
 from .conditioning import ShiftDiag, build_pd_shift, build_td_shift, pd_to_td
 from .exact_solvers import SingularMatrixError
@@ -246,15 +246,12 @@ def _picard_pass(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     solver = SOLVERS[cfg.solver_id]
     system = assemble_system(mesh, materials, u_iter, u_prev, cfg.tau,
                              extra_source=extra_source)
-    if solver.kernel.shape == "td":
+    td = solver.kernel.shape == "td"
+    if td:
         system = pd_to_td(system)
     if cfg.shift_mode == "none":
         return solver.solution(system)
-    if solver.kernel.shape == "td":
-        shift = build_td_shift(system.matrix)
-    else:
-        shift = build_pd_shift(
-            mesh, contact_conductivities(mesh, materials, u_iter))
+    shift = (build_td_shift if td else build_pd_shift)(system.matrix)
     if cfg.shift_mode == "corrected":
         return _corrected_solve(system, shift, solver)
     shifted = LinearSystem(shift.apply(system.matrix),
@@ -274,9 +271,10 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     Anderson mix of the last K + 2 + _ANDERSON_MARGIN updates, K the mesh's
     contact count, and at most cfg.max_picard; the stop test is the same, so
     the accepted field is still a Picard image.  Raises NonConvergenceError
-    after cfg.max_picard passes without meeting the stop test.  extra_source is a length-N vector added to the interior
-    right-hand sides (evaluate any space/time source at the new time level
-    before calling).
+    after cfg.max_picard passes without meeting the stop test.
+
+    extra_source is a length-N vector added to the interior right-hand sides
+    (evaluate any space/time source at the new time level before calling).
     """
     u_prev = u_old.values
     u_iter = u_prev

@@ -8,7 +8,9 @@ plain Gaussian elimination with partial pivoting by magnitude).
 The assembly and shift-scan oracles are the exception: they restate the
 package's whole-array assemble_system and build_td_shift one row at a time,
 from the per-row helpers (sample, assemble_interior_row, ...), so the
-whole-array code can be held to them value for value.  So do the band
+whole-array code can be held to them value for value.  pd_shift_rows keeps
+the paper's closed form of the pentadiagonal shift, which build_pd_shift
+reads off the assembled matrix instead.  So do the band
 product and the PD -> TD reduction oracles, which write out the operation
 order that BandMatrix.matvec and conditioning.pd_to_td must keep.
 """
@@ -165,6 +167,24 @@ def td_shift_rows(td, rtol=1e-13):
             entries[i] = deficit
             extended.append(i)
     return entries, tuple(extended)
+
+
+def pd_shift_rows(mesh, lams):
+    """The paper's closed-form pentadiagonal shift, as a list: 2*h_1^2 at
+    row 0, 2*h_{N-1}^2 at row N-1 and, at each contact row, the two-sided
+    lambda*h term.  lams holds the (lambda_left, lambda_right) pair of each
+    contact.  conditioning.build_pd_shift reads the same entries off the
+    assembled matrix as row dominance deficits."""
+    n = mesh.n
+    steps = mesh.steps.tolist()
+    entries = [0] * n
+    entries[0] = 2 * steps[0] * steps[0]
+    entries[n - 1] = 2 * steps[-1] * steps[-1]
+    for i_star, (lam_l, lam_r) in zip(mesh.contact_indices, lams):
+        h_im1, h_i, h_ip1, h_ip2 = steps[i_star - 2:i_star + 2]
+        entries[i_star] = (2 * lam_l * h_i / (h_im1 * (h_i + h_im1))
+                           + 2 * lam_r * h_ip1 / (h_ip2 * (h_ip1 + h_ip2)))
+    return entries
 
 
 def matvec_rows(matrix, x, width):

@@ -9,8 +9,8 @@ from oracles import dense_solve, rel_inf_err
 from radialheat import (BreakdownError, LayerSpec, LinearSystem, MaterialModel,
                         PentaMatrix, Polynomial, TriMatrix, assemble_system,
                         build_mesh, build_pd_shift, build_td_shift,
-                        contact_conductivities, pd_to_td, solve_pd_lu,
-                        solve_pd_modified, solve_td_thomas)
+                        pd_to_td, solve_pd_lu, solve_pd_modified,
+                        solve_td_thomas)
 from radialheat.band_solvers import sup_norm
 from radialheat.bench import count_ops, make_random_system
 
@@ -79,7 +79,7 @@ def test_three_solvers_agree_on_assembled_dominant_system():
     mesh = build_mesh([LayerSpec(1.0, 2.0, "a", 40), LayerSpec(2.0, 3.0, "b", 40)])
     u = [1.0 + 0.2 * (r - 1.0) ** 2 for r in mesh.nodes.tolist()]
     system = assemble_system(mesh, materials, u, u, 0.05)
-    shift = build_pd_shift(mesh, contact_conductivities(mesh, materials, u))
+    shift = build_pd_shift(system.matrix)
     shifted = shift.apply(system.matrix)
     rhs = system.rhs + shift.feedback(u)
     pd_sys = LinearSystem(shifted, rhs)
@@ -161,7 +161,7 @@ def test_constant_field_reproduced_to_machine_precision():
     c = 4.5
     u = [c] * mesh.n
     system = assemble_system(mesh, materials, u, u, 0.1)
-    shift = build_pd_shift(mesh, [])
+    shift = build_pd_shift(system.matrix)
     shifted = shift.apply(system.matrix)
     pd_sys = LinearSystem(shifted, system.rhs + shift.feedback(u))
     x = solve_pd_lu(pd_sys).solution

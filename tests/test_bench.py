@@ -35,6 +35,10 @@ def test_scenario_validation():
     BenchScenario(n_values=(10**8,), allow_huge=True)
     with pytest.raises(ScenarioError):
         BenchScenario(n_values=(100,), solvers=("XXX",))
+    with pytest.raises(ScenarioError, match="at least one size"):
+        BenchScenario(n_values=())
+    with pytest.raises(ScenarioError, match="one solver"):
+        BenchScenario(n_values=(100,), solvers=())
 
 
 def test_spread_contacts_spacing():
@@ -261,6 +265,14 @@ def test_cli_bench_rejects_huge_without_flag(capsys):
     code = cli_main(["bench", "--n", "100000000", "--reps", "1",
                      "--solvers", "NTDM"])
     assert code != 0
+
+
+@pytest.mark.parametrize("flag", ["--n", "--solvers"])
+def test_cli_bench_rejects_an_empty_list(capsys, flag):
+    code = cli_main(["bench", flag, "", "--reps", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: need at least one size and one solver\n"
 
 
 def test_cli_verify_counts(capsys):

@@ -5,14 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (dense_solve, exact_dense_rows, pivoted_fraction_solve,
-                     reduce_rows, rel_inf_err, td_shift_rows)
+from oracles import (dense_solve, exact_dense_rows, pd_shift_rows,
+                     pivoted_fraction_solve, reduce_rows, rel_inf_err,
+                     td_shift_rows)
 from radialheat import (LayerSpec, LinearSystem, MaterialModel, PentaMatrix,
                         Polynomial, ReductionBreakdownError, TriMatrix,
                         assemble_system, build_mesh, build_pd_shift,
                         build_td_shift, contact_conductivities,
                         is_weakly_dominant, pd_to_td, weakly_dominant_rows)
-from radialheat.bench import default_layers, make_random_system
+from radialheat.bench import (DEFAULT_MATERIALS, constructed_profile,
+                              default_layers, make_random_system)
 from radialheat.exact_solvers import exact_solve_td
 
 
@@ -42,7 +44,7 @@ def random_two_layer_mesh(rng):
 
 def test_pd_shift_boundary_entries():
     mesh = build_mesh([LayerSpec(1.0, 2.0, "a", 4), LayerSpec(2.0, 4.0, "b", 4)])
-    shift = build_pd_shift(mesh, [(1.0, 1.0)])
+    shift = build_pd_shift(assembled(mesh)[1].matrix)
     assert shift.entries[0] == 2 * 0.25**2 == 0.125
     assert shift.entries[mesh.n - 1] == 2 * 0.5**2
     assert shift.designated_rows == (0, 4, 8)
@@ -50,8 +52,36 @@ def test_pd_shift_boundary_entries():
 
 def test_pd_shift_contact_entry_unit_steps():
     mesh = build_mesh([LayerSpec(1.0, 5.0, "a", 4), LayerSpec(5.0, 9.0, "b", 4)])
-    shift = build_pd_shift(mesh, [(1.0, 1.0)])
+    unit = MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)), Polynomial((1.0,)))
+    u = [1.0] * mesh.n
+    system = assemble_system(mesh, {"a": unit, "b": unit}, u, u, 0.25)
+    shift = build_pd_shift(system.matrix)
     assert shift.entries[4] == 2.0  # 2*1*1/(1*2) + 2*1*1/(1*2)
+
+
+def test_pd_shift_equals_the_closed_form():
+    # exact: the deficits read off the matrix are the paper's entries over Q
+    mesh = build_mesh(default_layers(200, 11, exact=True))
+    u = constructed_profile(mesh, 3).tolist()
+    system = assemble_system(mesh, DEFAULT_MATERIALS, u, u, Fraction(1, 1000))
+    entries = build_pd_shift(system.matrix).entries.tolist()
+    oracle = pd_shift_rows(mesh, contact_conductivities(mesh, DEFAULT_MATERIALS, u))
+    assert entries == oracle
+    assert all(isinstance(p, Fraction) for p in entries if p != 0)
+    # float: the same up to the rounding of the two formulas
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        mesh = random_two_layer_mesh(rng)
+        u, system = assembled(mesh, tau=float(rng.uniform(0.01, 10.0)))
+        shift = build_pd_shift(system.matrix)
+        oracle = np.array(pd_shift_rows(
+            mesh, contact_conductivities(mesh, MATERIALS, u)))
+        rows = list(shift.designated_rows)
+        assert rows == [0, *mesh.contact_indices, mesh.n - 1]
+        assert np.all(shift.entries[rows] > 0)
+        rel = np.abs(shift.entries[rows] - oracle[rows]) / oracle[rows]
+        assert rel.max() <= 1e-15
+        assert np.count_nonzero(shift.entries) == len(rows)
 
 
 def test_pd_shift_makes_assembled_system_weakly_dominant():
@@ -63,15 +93,14 @@ def test_pd_shift_makes_assembled_system_weakly_dominant():
         flags = weakly_dominant_rows(system.matrix, rtol=1e-14)
         deficient = {i for i, ok in enumerate(flags) if not ok}
         assert deficient <= set(system.matrix.full_rows)
-        shift = build_pd_shift(
-            mesh, contact_conductivities(mesh, MATERIALS, u))
+        shift = build_pd_shift(system.matrix)
         assert is_weakly_dominant(shift.apply(system.matrix), rtol=1e-12)
 
 
 def test_shift_touches_only_diagonal_at_designated_rows():
     mesh = build_mesh([LayerSpec(1.0, 2.0, "a", 4), LayerSpec(2.0, 4.0, "b", 4)])
-    u, system = assembled(mesh)
-    shift = build_pd_shift(mesh, contact_conductivities(mesh, MATERIALS, u))
+    _, system = assembled(mesh)
+    shift = build_pd_shift(system.matrix)
     shifted = shift.apply(system.matrix)
     assert np.array_equal(shifted.d1m, system.matrix.d1m)
     assert np.array_equal(shifted.d1p, system.matrix.d1p)

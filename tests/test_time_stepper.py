@@ -9,8 +9,8 @@ from radialheat import (SOLVERS, LayerSpec, LinearSystem, MaterialModel,
                         NonConvergenceError, Polynomial, StepConfig,
                         TemperatureField, advance, assemble_system,
                         build_mesh, build_pd_shift, build_td_shift,
-                        contact_conductivities, pd_to_td, run)
-from radialheat import band_solvers, time_stepper
+                        pd_to_td, run)
+from radialheat import assembly, band_solvers, time_stepper
 from radialheat.bench import constructed_profile, default_layers
 
 LINEAR_MATERIALS = {
@@ -234,8 +234,7 @@ def test_corrected_pass_factors_once_and_matches_column_solves(monkeypatch,
         system = pd_to_td(system)
         shift = build_td_shift(system.matrix)
     else:
-        shift = build_pd_shift(
-            mesh, contact_conductivities(mesh, NONLINEAR_MATERIALS, u))
+        shift = build_pd_shift(system.matrix)
     calls = []
     factorize = band_solvers.factorize
 
@@ -310,6 +309,28 @@ def test_plain_fixed_point_iteration_pattern():
         tau=factor * h2, solver_id=solver, shift_mode=mode))[1]
         for mode, solver in FIXED_POINT_MODES for factor in TAU_OVER_H2]
     assert pattern == [24, 49, None, None, None, 42, None, None]
+
+
+@pytest.mark.parametrize("mode, solver", [("pd", "MNPDM"), ("corrected", "NPDM")])
+def test_pentadiagonal_shift_pass_evaluates_contacts_once(monkeypatch, mode,
+                                                          solver):
+    # the shift is read off the assembled matrix, so the assembly's
+    # evaluation of the contact conductivities is the only one in a pass
+    mesh, u0, h2 = shifted_cylinder()
+    calls = []
+    evaluate = assembly.contact_conductivities
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    for module in (assembly, time_stepper):
+        monkeypatch.setattr(module, "contact_conductivities", counted,
+                            raising=False)
+    cfg = StepConfig(tau=h2, solver_id=solver, shift_mode=mode)
+    time_stepper._picard_pass(mesh, CYLINDER_MATERIALS, u0.values, u0.values,
+                              cfg, None)
+    assert len(calls) == 1
 
 
 def test_exact_fixed_point_steps_iterate_plainly():
