@@ -289,13 +289,14 @@ def assemble_contact_row(mesh: RadialMesh, lam_left, lam_right, i_star: int):
 def contact_conductivities(mesh: RadialMesh,
                            materials: Mapping[str, MaterialModel],
                            u) -> list[tuple]:
-    """(lambda_left, lambda_right) at each contact, evaluated at the shared
-    contact temperature u[i*].  A MaterialDomainError names the first
-    contact node at fault, its material and the offending value."""
+    """(lambda_left, lambda_right) at each contact: the conductivities of the
+    two layers that meet there at the shared temperature u[i*].  A
+    MaterialDomainError names the first contact node at fault, its material
+    and the offending value."""
     pairs = []
-    for i_star in mesh.contact_indices:
+    for j, i_star in enumerate(mesh.contact_indices):
         pair = []
-        for mid in mesh.cell_materials[i_star - 1:i_star + 1]:
+        for mid in mesh.layer_materials[j:j + 2]:
             try:
                 pair.append(materials[mid].conductivity_at(u[i_star]))
             except MaterialDomainError as exc:
@@ -315,14 +316,14 @@ def _field(values, exact: bool) -> np.ndarray:
 def _rows_by_material(mesh: RadialMesh) -> list[tuple[str, np.ndarray]]:
     """(material id, ascending non-contact interior nodes) per material.
 
-    Material changes only at contact nodes, so the rows strictly between two
-    consecutive entries of (0, contacts..., N-1) share the material of the
-    cell to the right of the first entry.
+    The rows strictly between the j-th and (j+1)-th entries of
+    (0, contacts..., N-1) make up layer j and take the material of that
+    layer, mesh.layer_materials[j].
     """
     bounds = (0, *mesh.contact_indices, mesh.n - 1)
     runs: dict[str, list] = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        runs.setdefault(mesh.cell_materials[lo], []).append(np.arange(lo + 1, hi))
+    for mid, lo, hi in zip(mesh.layer_materials, bounds, bounds[1:]):
+        runs.setdefault(mid, []).append(np.arange(lo + 1, hi))
     return [(mid, np.concatenate(parts)) for mid, parts in runs.items()]
 
 

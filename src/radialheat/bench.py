@@ -156,21 +156,18 @@ def constructed_profile(mesh: RadialMesh, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     c1 = Fraction(int(rng.integers(1, 8)), 16)
     c2 = Fraction(int(rng.integers(1, 8)), 16)
-    r_min = mesh.r_min
     if not mesh.is_exact:
+        # a Fraction times a float64 array would give an object array
         c1, c2 = float(c1), float(c2)
-    values = []
-    for r in mesh.nodes.tolist():
-        s = r - r_min
-        values.append(1 + c1 * s + c2 * s * s)
-    return _field(values, mesh.is_exact)
+    s = mesh.nodes - mesh.r_min
+    return 1 + c1 * s + c2 * s * s
 
 
 def _bench_tau(mesh: RadialMesh):
     """Stiff implicit step: tau = h_min^2 / 100 keeps the shifted systems
     extremely well conditioned, reproducing near-machine accuracy."""
     h_min = min(mesh.steps.tolist())
-    return h_min * h_min / 100 if not mesh.is_exact else h_min * h_min * Fraction(1, 100)
+    return h_min * h_min / 100
 
 
 @dataclass(eq=False)
@@ -546,7 +543,7 @@ def _jittered_mesh(layers, factor: int, seed: int) -> RadialMesh:
         h_local = min(nodes[i] - nodes[i - 1], nodes[i + 1] - nodes[i])
         nodes[i] += float(rng.uniform(-0.4, 0.4)) * h_local
     return RadialMesh.from_nodes(nodes, base.contact_indices,
-                                 base.cell_materials)
+                                 base.layer_materials)
 
 
 @dataclass

@@ -6,8 +6,9 @@ carry three-point one-sided Neumann stencils, and every other node carries the
 three-point conduction stencil.  All of those stencils read geometry straight
 off the node array, so the mesh stores nodes as the single source of truth.
 
-Meshes are value objects: immutable after construction and safe to share
-between threads.
+Meshes are value objects holding read-only copies of their arrays, so they
+are immutable after construction and safe to share between threads.  A
+material belongs to a layer: the mesh stores one material id per layer.
 
 Exact meshes: if every radius in the layer specification is an int or a
 Fraction (no floats anywhere), the node array is built in exact rational
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -86,29 +88,32 @@ class RadialMesh:
     """Radial node set with interface bookkeeping.
 
     nodes            strictly increasing radii r_0..r_{N-1}; dtype float64 or
-                     object (Fractions) for exact meshes
+                     object (Fractions) for exact meshes; a read-only copy
     contact_indices  sorted interior node indices lying on layer interfaces
-    cell_materials   material id of each cell [r_j, r_{j+1}], length N-1
+    layer_materials  material id of each layer, innermost first; length K+1
     steps            steps[j] = nodes[j+1] - nodes[j]; derived from nodes at
-                     construction so it can never drift
+                     construction so it can never drift; read-only
     """
 
     nodes: np.ndarray
     contact_indices: tuple[int, ...]
-    cell_materials: tuple[str, ...]
+    layer_materials: tuple[str, ...]
     steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes)
-        object.__setattr__(self, "nodes", nodes)
+        nodes = np.array(self.nodes)
         n = nodes.shape[0]
         if n < 3:
             raise MeshStructureError(f"need at least 3 nodes, got {n}")
         if not nodes[0] > 0:
             raise MeshDomainError(f"r_min must be positive, got {nodes[0]}")
         steps = nodes[1:] - nodes[:-1]
-        if not all(h > 0 for h in steps.tolist()):
+        # comparisons on object arrays give object arrays; NaN fails > 0
+        if not np.all(np.asarray(steps > 0, dtype=bool)):
             raise MeshStructureError("nodes must be strictly increasing")
+        nodes.flags.writeable = False
+        steps.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "steps", steps)
 
         contacts = tuple(int(i) for i in self.contact_indices)
@@ -128,18 +133,11 @@ class RadialMesh:
                     f"{MIN_CONTACT_SEPARATION}: interface stencils overlap"
                 )
 
-        mats = tuple(self.cell_materials)
-        object.__setattr__(self, "cell_materials", mats)
-        if len(mats) != n - 1:
-            raise MeshStructureError(
-                f"cell_materials has length {len(mats)}, expected {n - 1}"
-            )
-        # Material may only change across a declared contact node.
-        for j in range(1, n - 1):
-            if mats[j] != mats[j - 1] and j not in contacts:
-                raise MeshStructureError(
-                    f"material changes at node {j} which is not a contact index"
-                )
+        mats = tuple(self.layer_materials)
+        object.__setattr__(self, "layer_materials", mats)
+        if len(mats) != len(contacts) + 1:
+            raise MeshStructureError(f"layer_materials has length {len(mats)}, "
+                                     f"expected {len(contacts) + 1}, one per layer")
 
     # -- basic queries -----------------------------------------------------
 
@@ -168,10 +166,9 @@ class RadialMesh:
 
     @property
     def uniform_steps_per_layer(self) -> bool:
-        """True when the step is constant inside every layer.
-
-        The conduction stencil is second-order accurate only in this regime;
-        graded meshes are accepted but reported as first-order.
+        """True when the step is constant inside every layer (exactly on an
+        exact mesh, to 1e-12 relative on a float one): the regime in which
+        the conduction stencil is second-order.  False on a graded mesh.
         """
         bounds = (0, *self.contact_indices, self.n - 1)
         steps = self.steps.tolist()
@@ -187,22 +184,25 @@ class RadialMesh:
         return True
 
     @classmethod
-    def from_nodes(cls, nodes, contact_indices, cell_materials) -> "RadialMesh":
-        """Build a mesh directly from a node list (graded meshes allowed)."""
+    def from_nodes(cls, nodes, contact_indices, layer_materials) -> "RadialMesh":
+        """Build a mesh directly from a node list (graded meshes allowed);
+        layer_materials holds one id per layer, innermost first."""
         seq = list(nodes)
         if any(_is_float(x) for x in seq):
             arr = np.asarray(seq, dtype=np.float64)
         else:
             arr = np.array([_as_exact(x) for x in seq], dtype=object)
-        return cls(arr, tuple(contact_indices), tuple(cell_materials))
+        return cls(arr, tuple(contact_indices), tuple(layer_materials))
 
 
 def build_mesh(layers: Sequence[LayerSpec]) -> RadialMesh:
     """Subdivide each layer uniformly and join the pieces into one mesh.
 
-    Every layer interface becomes a node and its index is recorded as a
-    contact index.  Requires contiguous layers, >= MIN_CELLS_PER_LAYER cells
-    per layer and at least 7 nodes overall.
+    A layer's nodes are r_start + j*h for j < cells, h = width / cells; the
+    next layer's r_start or the last r_end closes it, so every interface is
+    a node, recorded as a contact index, and each layer's material_id is
+    its entry of layer_materials.  Requires contiguous layers, >=
+    MIN_CELLS_PER_LAYER cells per layer and at least 7 nodes overall.
 
     Raises MeshStructureError for non-contiguous layers, MeshDomainError for
     r_min <= 0 and MeshSpacingError when interface stencils would overlap.
@@ -227,31 +227,21 @@ def build_mesh(layers: Sequence[LayerSpec]) -> RadialMesh:
     exact = not any(
         _is_float(v) for spec in layers for v in (spec.r_start, spec.r_end)
     )
+    n = sum(spec.cells for spec in layers) + 1
+    if n < 7:
+        raise MeshStructureError(f"need at least 7 nodes, got {n}")
 
-    nodes = []
-    contacts = []
-    materials = []
+    coerce = _as_exact if exact else (lambda v: v)
+    pieces = []
     for spec in layers:
-        r0 = _as_exact(spec.r_start) if exact else spec.r_start
-        r1 = _as_exact(spec.r_end) if exact else spec.r_end
+        r0, r1 = coerce(spec.r_start), coerce(spec.r_end)
         h = (r1 - r0) / spec.cells
-        # The layer's final node is supplied by the next layer's r_start (or
-        # appended after the loop), so interfaces land exactly on r_end.
-        nodes.extend(r0 + j * h for j in range(spec.cells))
-        materials.extend([spec.material_id] * spec.cells)
-        contacts.append(len(nodes))
-    nodes.append(_as_exact(layers[-1].r_end) if exact else layers[-1].r_end)
-    contacts.pop()  # last entry is the outer boundary, not a contact
-
-    if len(nodes) < 7:
-        raise MeshStructureError(f"need at least 7 nodes, got {len(nodes)}")
-
-    arr = (
-        np.array(nodes, dtype=object)
-        if exact
-        else np.asarray(nodes, dtype=np.float64)
-    )
-    return RadialMesh(arr, tuple(contacts), tuple(materials))
+        # r0 + j * h per node, as IEEE or as Fraction (object) arithmetic
+        pieces.append(r0 + np.arange(spec.cells, dtype=object if exact else None) * h)
+    pieces.append([coerce(layers[-1].r_end)])
+    nodes = np.concatenate(pieces).astype(object if exact else np.float64, copy=False)
+    contacts = tuple(accumulate(spec.cells for spec in layers[:-1]))
+    return RadialMesh(nodes, contacts, tuple(spec.material_id for spec in layers))
 
 
 def geometry(mesh: RadialMesh, i: int):

@@ -13,8 +13,11 @@ the paper's closed form of the pentadiagonal shift, which build_pd_shift
 reads off the assembled matrix instead.  So do the band
 product and the PD -> TD reduction oracles, which write out the operation
 order that BandMatrix.matvec and conditioning.pd_to_td must keep.
+mesh_nodes_rows likewise writes build_mesh's whole-array node construction
+one node at a time.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +122,25 @@ def exact_dense_rows(matrix):
     return [list(row) for row in dense.tolist()]
 
 
+def mesh_nodes_rows(layers):
+    """build_mesh's node array one node at a time: r0 + j * h for each
+    layer's cells, then the outermost radius.  Ints become Fractions when
+    no radius is a float; otherwise the nodes are converted to float64."""
+    exact = not any(isinstance(v, (float, np.floating))
+                    for spec in layers for v in (spec.r_start, spec.r_end))
+
+    def coerce(v):
+        return Fraction(v) if exact and isinstance(v, int) else v
+
+    nodes = []
+    for spec in layers:
+        r0, r1 = coerce(spec.r_start), coerce(spec.r_end)
+        h = (r1 - r0) / spec.cells
+        nodes.extend(r0 + j * h for j in range(spec.cells))
+    nodes.append(coerce(layers[-1].r_end))
+    return np.array(nodes, dtype=object if exact else np.float64)
+
+
 def assemble_rows(mesh, materials, u_guess, u_old, tau, extra_source=None):
     """Row-by-row assembly from the per-node helpers: one materials.sample
     and one assemble_interior_row call per interior node, then the Neumann
@@ -132,7 +154,8 @@ def assemble_rows(mesh, materials, u_guess, u_old, tau, extra_source=None):
     for i in range(1, n - 1):
         if i in mesh.contact_indices:
             continue
-        model = materials[mesh.cell_materials[i]]
+        # node i lies in layer j, j the number of contacts before it
+        model = materials[mesh.layer_materials[bisect_left(mesh.contact_indices, i)]]
         coeff = sample(model, u_guess[i], u_guess[i - 1], u_guess[i + 1])
         d1m[i], d0[i], d1p[i], rhs[i] = assemble_interior_row(
             mesh, coeff, i, tau, u_old[i])

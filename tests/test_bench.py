@@ -14,7 +14,8 @@ from radialheat import (SOLVERS, BenchScenario, StepConfig, TemperatureField,
                         build_mesh, convergence_study, emit, load_config,
                         manufactured_single_layer, manufactured_two_layer,
                         verify_op_counts)
-from radialheat.bench import ScenarioError, default_layers, spread_contacts
+from radialheat.bench import (ScenarioError, constructed_profile, default_layers,
+                              spread_contacts)
 from radialheat.cli import main as cli_main
 from radialheat.config import ConfigError
 
@@ -77,6 +78,26 @@ def test_exact_case_recovers_profile_exactly():
     from radialheat import exact_solve_pd, exact_solve_td
     assert exact_solve_pd(case.pd_system) == case.y_bar.tolist()
     assert exact_solve_td(case.td_system) == case.y_bar.tolist()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_constructed_profile_matches_scalar_formula(exact):
+    mesh = build_mesh(default_layers(300, 3, exact))
+    rng = np.random.default_rng(7)
+    c1 = Fraction(int(rng.integers(1, 8)), 16)
+    c2 = Fraction(int(rng.integers(1, 8)), 16)
+    if not exact:
+        c1, c2 = float(c1), float(c2)
+    r_min = mesh.r_min
+    expected = [1 + c1 * (r - r_min) + c2 * (r - r_min) * (r - r_min)
+                for r in mesh.nodes.tolist()]
+    y_bar = constructed_profile(mesh, 7)
+    if exact:
+        assert y_bar.dtype == object
+        assert y_bar.tolist() == expected
+        assert all(type(v) is Fraction for v in y_bar.tolist())
+    else:
+        assert y_bar.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
 
 
 def test_verify_op_counts_passes_with_exact_slopes():

@@ -8,6 +8,8 @@ import pytest
 from radialheat import (LayerSpec, MeshDomainError, MeshSpacingError,
                         MeshStructureError, RadialMesh, build_mesh, geometry)
 
+from oracles import mesh_nodes_rows
+
 
 def two_layer_mesh():
     return build_mesh([LayerSpec(1.0, 2.0, "a", 4), LayerSpec(2.0, 4.0, "b", 4)])
@@ -38,13 +40,14 @@ def test_twelve_layers_has_eleven_contacts():
     mesh = build_mesh(layers)
     assert mesh.k == 11
     assert mesh.is_exact
+    assert mesh.layer_materials == tuple(f"m{j}" for j in range(12))
     # every interface radius appears exactly once, at a contact index
     for j, i_star in enumerate(mesh.contact_indices, start=1):
         assert mesh.nodes[i_star] == 1 + Fraction(j, 12)
 
 
 def test_geometry_uniform():
-    mesh = RadialMesh.from_nodes([98.0, 99.0, 100.0, 101.0, 102.0], (), ("m",) * 4)
+    mesh = RadialMesh.from_nodes([98.0, 99.0, 100.0, 101.0, 102.0], (), ("m",))
     assert geometry(mesh, 2) == (1.0, 99.5, 100.5)
 
 
@@ -91,7 +94,7 @@ def test_contact_window_clear_of_other_contacts():
 def test_rebuild_from_own_nodes_is_identical():
     mesh = two_layer_mesh()
     rebuilt = RadialMesh.from_nodes(mesh.nodes.tolist(), mesh.contact_indices,
-                                    mesh.cell_materials)
+                                    mesh.layer_materials)
     assert rebuilt.contact_indices == mesh.contact_indices
     assert rebuilt.steps.tolist() == mesh.steps.tolist()
 
@@ -116,15 +119,21 @@ def test_too_few_cells_rejected():
 def test_contact_spacing_enforced_from_nodes():
     nodes = [1.0 + 0.1 * j for j in range(11)]
     with pytest.raises(MeshSpacingError):
-        RadialMesh.from_nodes(nodes, (4, 6), ("a",) * 4 + ("b",) * 2 + ("c",) * 4)
+        RadialMesh.from_nodes(nodes, (4, 6), ("a", "b", "c"))
     with pytest.raises(MeshSpacingError):
-        RadialMesh.from_nodes(nodes, (1,), ("a",) + ("b",) * 9)
+        RadialMesh.from_nodes(nodes, (1,), ("a", "b"))
 
 
 def test_material_change_requires_contact():
     nodes = [1.0 + 0.1 * j for j in range(11)]
-    with pytest.raises(MeshStructureError):
-        RadialMesh.from_nodes(nodes, (), ("a",) * 5 + ("b",) * 5)
+    # two layer materials need one contact between them
+    with pytest.raises(MeshStructureError, match="expected 1"):
+        RadialMesh.from_nodes(nodes, (), ("a", "b"))
+    # one material per cell is not one per layer
+    with pytest.raises(MeshStructureError, match="expected 2"):
+        RadialMesh.from_nodes(nodes, (5,), ("a",) * 5 + ("b",) * 5)
+    mesh = RadialMesh.from_nodes(nodes, (5,), ("a", "b"))
+    assert mesh.layer_materials == ("a", "b")
 
 
 def test_exact_mesh_from_fractions():
@@ -140,5 +149,42 @@ def test_uniform_steps_flag():
     mesh = two_layer_mesh()
     assert mesh.uniform_steps_per_layer
     graded = RadialMesh.from_nodes([1.0, 1.1, 1.35, 1.5, 1.8, 2.0, 2.2], (),
-                                   ("a",) * 6)
+                                   ("a",))
     assert not graded.uniform_steps_per_layer
+
+
+@pytest.mark.parametrize("layers", [
+    [LayerSpec(1.0 + j, 2.0 + j, f"m{j}", 8) for j in range(3)],
+    [LayerSpec(0.1, 0.7, "a", 7), LayerSpec(0.7, 1.3, "b", 9),
+     LayerSpec(1.3, 2.9, "c", 13)],
+    [LayerSpec(Fraction(1) + Fraction(j, 7), Fraction(1) + Fraction(j + 1, 7),
+               f"m{j}", 5 + j) for j in range(4)],
+    [LayerSpec(Fraction(1, 3), Fraction(2, 3), "a", 5),
+     LayerSpec(Fraction(2, 3), 1.1, "b", 6),
+     LayerSpec(1.1, Fraction(17, 10), "c", 7),
+     LayerSpec(Fraction(17, 10), 2.3, "d", 4)],
+], ids=["uniform", "uneven", "fractions", "mixed"])
+def test_build_mesh_matches_node_oracle(layers):
+    mesh = build_mesh(layers)
+    expected = mesh_nodes_rows(layers)
+    assert mesh.nodes.dtype == expected.dtype
+    if mesh.is_exact:
+        assert mesh.nodes.tolist() == expected.tolist()
+        assert all(type(r) is Fraction for r in mesh.nodes.tolist())
+    else:
+        assert mesh.nodes.tobytes() == expected.tobytes()
+    assert mesh.steps.tolist() == (expected[1:] - expected[:-1]).tolist()
+    assert mesh.layer_materials == tuple(spec.material_id for spec in layers)
+
+
+def test_mesh_keeps_its_own_read_only_nodes():
+    arr = np.array([1.0 + 0.1 * j for j in range(11)])
+    before = arr.tolist()
+    mesh = RadialMesh(arr, (5,), ("a", "b"))
+    arr[3] = 9.0
+    assert mesh.nodes.tolist() == before
+    assert mesh.steps.tolist() == np.diff(before).tolist()
+    with pytest.raises(ValueError):
+        mesh.nodes[1] = 5.0
+    with pytest.raises(ValueError):
+        mesh.steps[1] = 5.0
