@@ -15,9 +15,10 @@ Pivot policy.  Row i's pivot p is zero when ``p == 0 or thr[i] and abs(p) <
 thr[i]`` (so a NaN pivot is not, and a zero threshold takes no abs());
 on_zero(i) then returns the pivot to use or raises.  The float entry points
 use thr[i] = PIVOT_RTOL * max |row i entry| and raise BreakdownError(i):
-dominantize first, or use the exact solvers, whose thresholds are zero and
-whose on_zero defers the pivot to a formal eps (exact_solvers).  Exact
-(object) data handed to a float entry point gets zero thresholds too.
+dominantize first, or use the exact solvers, whose thresholds are zero:
+their sweeps modulo a prime raise too, and their Fraction fallback defers
+the pivot to a formal eps (exact_solvers).  Exact (object) data handed to a
+float entry point gets zero thresholds too.
 
 op_count is a closed form for the +, -, * and / on matrix and vector
 scalars in one factor and one solve: 19N - 29 (LU), 9N - 8 (THOMAS), and

@@ -58,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=BenchScenario.seed)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--exact-cap", type=int, default=BenchScenario.exact_cap,
-                   help="largest N the exact solvers are scheduled for")
+                   help="largest N the exact solvers are scheduled for "
+                        "(one SPDM solve takes about 0.04 s at N = 1e3 and "
+                        "0.4-0.6 s at N = 1e4)")
     p.add_argument("--allow-huge", action="store_true",
                    help="permit N beyond 1e7 (several GB of memory)")
 

@@ -14,7 +14,9 @@ reads off the assembled matrix instead.  So do the band
 product and the PD -> TD reduction oracles, which write out the operation
 order that BandMatrix.matvec and conditioning.pd_to_td must keep.
 mesh_nodes_rows likewise writes build_mesh's whole-array node construction
-one node at a time.
+one node at a time.  fraction_kernel_solve runs the package's own band
+kernels directly over Fractions: the exact solvers' modular solves and
+their fallback must both reproduce it.
 """
 
 from bisect import bisect_left
@@ -24,6 +26,7 @@ import numpy as np
 
 from radialheat import (assemble_contact_row, assemble_interior_row,
                         assemble_neumann_rows, contact_conductivities, sample)
+from radialheat.band_solvers import raise_breakdown
 
 
 def dense_solve(system):
@@ -94,6 +97,16 @@ def pivoted_fraction_solve(matrix_rows, rhs):
             acc -= a[i][j] * x[j]
         x[i] = acc / a[i][i]
     return x
+
+
+def fraction_kernel_solve(system, kernel):
+    """kernel (band_solvers.LU or THOMAS) factored and solved directly over
+    the system's Fractions, with zero pivot thresholds; a zero pivot raises
+    BreakdownError.  Returns the solution as a list."""
+    m = system.matrix
+    inputs = [band.tolist() for band in m.bands()]
+    factors = kernel.factor(inputs, [0] * m.n, raise_breakdown)
+    return kernel.solve(factors, system.rhs.tolist())
 
 
 def fraction_det(matrix_rows):

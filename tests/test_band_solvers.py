@@ -139,8 +139,9 @@ def test_tiny_pivot_relative_to_row_scale_breaks_down():
     sup = z.copy()
     sup[3] = 1e9  # row scale 1e9 -> threshold 1e-21 > diag[3]
     m = TriMatrix(z.copy(), diag, sup)
-    with pytest.raises(BreakdownError):
+    with pytest.raises(BreakdownError) as err:
         solve_td_thomas(LinearSystem(m, np.ones(n)))
+    assert err.value.row == 3
 
 
 def test_solvers_do_not_mutate_input():

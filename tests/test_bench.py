@@ -73,6 +73,14 @@ def test_bench_exact_cap_skips():
     assert "skipped" in rows[0].note
 
 
+def test_exact_bench_at_ten_thousand_nodes():
+    # the modular solves bring N = 1e4 within a default campaign's reach
+    rows = bench(BenchScenario(n_values=(10**4,), solvers=("SPDM", "STDM"),
+                               repetitions=1))
+    assert [r.solver for r in rows] == ["SPDM", "STDM"]
+    assert all(r.err_inf == 0 for r in rows)
+
+
 def test_exact_case_recovers_profile_exactly():
     case = build_bench_case(200, 3, seed=5, exact=True)
     from radialheat import exact_solve_pd, exact_solve_td

@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import isprime
 
 from oracles import (bareiss_solve, exact_dense_rows, fraction_det,
-                     pivoted_fraction_solve)
+                     fraction_kernel_solve, pivoted_fraction_solve)
 from radialheat import (BreakdownError, DeferredScalar, ExactInputError,
                         LinearSystem, PentaMatrix, SingularMatrixError,
-                        TriMatrix, exact_solve_pd, exact_solve_td, pd_to_td,
-                        solve_pd_lu, solve_td_thomas)
+                        TriMatrix, build_bench_case, exact_solve_pd,
+                        exact_solve_td, exact_solvers, pd_to_td, solve_pd_lu,
+                        solve_td_thomas)
+from radialheat.band_solvers import LU, THOMAS
 from radialheat.bench import make_random_system
 
 
@@ -203,3 +206,144 @@ def test_shift_invariance_of_exact_solution():
     lhs = shifted.matvec(x)
     rhs = system.rhs + p * x
     assert all(a == b for a, b in zip(lhs.tolist(), rhs.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# modular solves, certification and the Fraction fallback
+# ---------------------------------------------------------------------------
+
+P = exact_solvers.PRIMES[0]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The kernel names of the exact solvers' calls into the Fraction
+    fallback, in order."""
+    calls = []
+    fraction_factors = exact_solvers._fraction_factors
+
+    def counted(kernel, inputs):
+        calls.append(kernel.name)
+        return fraction_factors(kernel, inputs)
+
+    monkeypatch.setattr(exact_solvers, "_fraction_factors", counted)
+    return calls
+
+
+def test_every_modulus_is_a_word_size_prime():
+    assert len(set(exact_solvers.PRIMES)) == len(exact_solvers.PRIMES) >= 2
+    for p in exact_solvers.PRIMES:
+        assert isprime(p) and p < 2**64
+
+
+def unlucky_tri(**entries):
+    """A regular tridiagonal system whose second leading minor is P, so its
+    second Thomas pivot is zero mod P but not over Q; entries overrides
+    single entries as name=(index, value)."""
+    bands = {"sub": [0, 1, 2, 1, 3, 1], "diag": [1, P + 1, 7, 9, 8, 6],
+             "sup": [1, 2, 1, 3, 1, 0], "rhs": [1, -2, 3, 5, -4, 6]}
+    for name, (i, value) in entries.items():
+        bands[name][i] = value
+    return tri(bands["sub"], bands["diag"], bands["sup"], bands["rhs"])
+
+
+def assert_matches_pivoted_oracle(x, system):
+    rows = exact_dense_rows(system.matrix)
+    assert fraction_det(rows) != 0
+    assert x == pivoted_fraction_solve(rows, system.rhs.tolist())
+    assert all(type(v) is Fraction for v in x)
+
+
+def test_unlucky_prime_tridiagonal_falls_back(fallbacks):
+    system = unlucky_tri()
+    rows = exact_dense_rows(system.matrix)
+    assert fraction_det([row[:2] for row in rows[:2]]) == P
+    assert_matches_pivoted_oracle(exact_solve_td(system), system)
+    assert fallbacks == ["THOMAS"]
+
+
+def test_unlucky_prime_pentadiagonal_falls_back(fallbacks):
+    rng = np.random.default_rng(22)
+    system = make_random_system(9, 2, rng, exact=True)
+    m = system.matrix
+    m.d0[1] = (P + m.d1p[0] * m.d1m[1]) / m.d0[0]
+    rows = exact_dense_rows(m)
+    assert fraction_det([row[:2] for row in rows[:2]]) == P
+    assert_matches_pivoted_oracle(exact_solve_pd(system), system)
+    assert fallbacks == ["LU"]
+
+
+@pytest.mark.parametrize("entry", [{"sup": (2, Fraction(3, P))},
+                                   {"sub": (4, Fraction(-1, 2 * P))},
+                                   {"rhs": (3, Fraction(5, P))}],
+                         ids=["matrix", "matrix-multiple", "rhs"])
+def test_denominator_divisible_by_the_prime_falls_back(fallbacks, entry):
+    system = unlucky_tri(diag=(1, 5), **entry)
+    assert_matches_pivoted_oracle(exact_solve_td(system), system)
+    # the same bands as a pentadiagonal matrix with one full row, row 1
+    penta = LinearSystem(PentaMatrix(
+        frac_array([0] * 6), system.matrix.sub, system.matrix.diag,
+        system.matrix.sup, frac_array([0, 1, 0, 0, 0, 0]), (1,)), system.rhs)
+    assert_matches_pivoted_oracle(exact_solve_pd(penta), penta)
+    assert fallbacks == ["THOMAS", "LU"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_large_height_answer_falls_back_to_the_fraction_kernels(fallbacks,
+                                                                seed):
+    # a random integer right-hand side: the answer's parts have thousands
+    # of bits, beyond what the primes of PRIMES can rebuild
+    case = build_bench_case(200, 3, seed, exact=True)
+    values = np.random.default_rng(seed).integers(-9, 10, 200)
+    rhs = frac_array(values.tolist())
+    pd = LinearSystem(case.pd_system.matrix, rhs)
+    td = LinearSystem(case.td_system.matrix, rhs)
+    # Fractions of numpy ints, as Fraction(np.int64(v)) makes them, are
+    # read as Python ints rather than overflowing in int64 products
+    numpy_rhs = frac_array(values)
+    x_pd = exact_solve_pd(LinearSystem(pd.matrix, numpy_rhs))
+    x_td = exact_solve_td(LinearSystem(td.matrix, numpy_rhs))
+    assert x_pd == fraction_kernel_solve(pd, LU)
+    assert x_td == fraction_kernel_solve(td, THOMAS)
+    assert max(v.denominator.bit_length() for v in x_pd) > 1000
+    assert fallbacks == ["LU", "THOMAS"]
+
+
+def test_a_wrong_reconstruction_is_never_returned(monkeypatch, fallbacks):
+    # one component rebuilt as a wrong small rational fails the exact
+    # check A x == b for every prime, so the answer comes from the fallback
+    reconstruct = exact_solvers._reconstruct
+
+    def wrong(x_mod, m):
+        x = reconstruct(x_mod, m)
+        if x is not None:
+            x[len(x) // 2] = Fraction(1, 3)
+        return x
+
+    monkeypatch.setattr(exact_solvers, "_reconstruct", wrong)
+    case = build_bench_case(200, 3, 4, exact=True)
+    assert exact_solve_pd(case.pd_system) == case.y_bar.tolist() \
+        == fraction_kernel_solve(case.pd_system, LU)
+    assert exact_solve_td(case.td_system) == case.y_bar.tolist() \
+        == fraction_kernel_solve(case.td_system, THOMAS)
+    assert fallbacks == ["LU", "THOMAS"]
+
+
+@pytest.mark.parametrize("kind", ["pd", "td"])
+def test_answer_beyond_one_prime_certifies_with_two(fallbacks, kind):
+    # 41-bit parts: one prime rebuilds parts below 2**31.5, two below 2**63.5
+    rng = np.random.default_rng(23)
+    system = make_random_system(12, 2, rng, exact=True, kind=kind)
+    parts = rng.integers(2**40, 2**41, (12, 2)).tolist()
+    x = [Fraction(n, d) for n, d in parts]
+    system.rhs = system.matrix.matvec(np.array(x, dtype=object))
+    solve = exact_solve_pd if kind == "pd" else exact_solve_td
+    assert solve(system) == x
+    assert fallbacks == []
+
+
+def test_exact_bench_case_is_solved_without_a_fraction_sweep(fallbacks):
+    case = build_bench_case(1000, 11, seed=1, exact=True)
+    assert exact_solve_pd(case.pd_system) == case.y_bar.tolist()
+    assert exact_solve_td(case.td_system) == case.y_bar.tolist()
+    assert fallbacks == []
