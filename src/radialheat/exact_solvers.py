@@ -264,8 +264,8 @@ def _exact_list(arr, what: str) -> list:
                 f"input (int, Fraction or compatible)")
         if isinstance(v, (int, np.integer)):
             v = Fraction(int(v))
-        elif isinstance(v, Fraction) and not (type(v.numerator) is int
-                                              is type(v.denominator)):
+        elif isinstance(v, Fraction) and (type(v.numerator) is not int
+                                          or type(v.denominator) is not int):
             # Fraction(np.int64(3)) keeps a numpy numerator, whose products
             # overflow int64
             v = Fraction(int(v.numerator), int(v.denominator))
