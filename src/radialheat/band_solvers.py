@@ -326,9 +326,8 @@ def solve_td_thomas(system: LinearSystem) -> SolveReport:
 
 class Solver(NamedTuple):
     """A solver: its kernel (and so its band shape), its arithmetic, and the
-    module and name of its public entry point.  The module also provides
-    factorize(matrix, kernel) under the solver's pivot policy.  Both are
-    looked up at call time, so a rebinding (a tracer's wrapper) is seen."""
+    module and name of its public entry point.  The entry point is looked up
+    at call time, so a rebinding (a tracer's wrapper) is seen."""
 
     kernel: Kernel
     exact: bool
@@ -341,13 +340,6 @@ class Solver(NamedTuple):
     def solution(self, system: LinearSystem) -> np.ndarray:
         out = self.entry_point()(system)
         return np.array(out, dtype=object) if self.exact else out.solution
-
-    def factorize(self, matrix) -> Callable[[np.ndarray], np.ndarray]:
-        """Factor matrix once; the returned function maps a right-hand side
-        to the solution array."""
-        module = import_module(f"{__package__}.{self.module}")
-        back_solve = module.factorize(matrix, self.kernel)
-        return lambda rhs: _field(back_solve(rhs), rhs.dtype == object)
 
 
 SOLVERS = {

@@ -44,7 +44,7 @@ from .band_solvers import (SOLVERS, BreakdownError, kernel_inputs,
                            raise_breakdown, sup_norm)
 from .conditioning import build_pd_shift, build_td_shift, pd_to_td
 from .materials import MaterialModel, Polynomial
-from .mesh import LayerSpec, RadialMesh, build_mesh
+from .mesh import MIN_CELLS_PER_LAYER, LayerSpec, RadialMesh, build_mesh
 from .time_stepper import StepConfig, TemperatureField, run
 
 #: Default problem sizes, mirroring the published experiment tiers.
@@ -106,9 +106,7 @@ class BenchScenario:
         if self.k < 0:
             raise ScenarioError("k must be >= 0")
         for n in self.n_values:
-            if n - 1 < 4 * (self.k + 1):
-                raise ScenarioError(
-                    f"n={n} too small for k={self.k} (needs >= 4 cells/layer)")
+            default_layers(n, self.k)  # raises if the layers are too thin
             if n > HUGE_N and not self.allow_huge:
                 raise ScenarioError(
                     f"n={n} exceeds {HUGE_N}; pass allow_huge (several GB of "
@@ -138,8 +136,9 @@ def default_layers(n: int, k: int, exact: bool = False) -> list[LayerSpec]:
     segments = k + 1
     total_cells = n - 1
     base, rem = divmod(total_cells, segments)
-    if base < 4:
-        raise ScenarioError(f"n={n} gives fewer than 4 cells per layer at k={k}")
+    if base < MIN_CELLS_PER_LAYER:
+        raise ScenarioError(f"n={n} gives fewer than {MIN_CELLS_PER_LAYER} "
+                            f"cells per layer at k={k}")
     layers = []
     for j in range(segments):
         r0 = 1 + Fraction(j, segments)

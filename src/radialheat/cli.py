@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", default=StepConfig.shift_mode, choices=SHIFT_MODES,
                    help="corrected: solve the unshifted system exactly "
                         "through the dominance shift; pd, td: the paper's "
-                        "shifted fixed point, Anderson-accelerated on float "
-                        "meshes; none: the raw system")
+                        "shifted fixed point, Anderson-accelerated; none: "
+                        "the raw system")
     p.add_argument("--picard-tol", type=float, default=StepConfig.picard_tol,
                    help="stop once the sup-norm update is at most this "
                         "times the sup norm of the iterate")

@@ -33,17 +33,17 @@ eps = 0 that survives cancellation means the matrix itself is singular.
 Singular systems always take this path, since a singular A has a zero
 pivot modulo every prime.
 
-Accepted scalars are ints, fractions.Fraction and compatible exact rational
-types such as gmpy2.mpq; floats are rejected.  DeferredScalar keeps its
-numerator/denominator polynomials coprime and the denominator monic after
-every operation, which bounds degree growth through the recurrences.
+Accepted scalars are ints and fractions.Fraction; floats are rejected.
+DeferredScalar keeps its numerator/denominator polynomials coprime and the
+denominator monic after every operation, which bounds degree growth through
+the recurrences.  Their coefficients are Fractions, so no division in the
+polynomial arithmetic can leave the rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable
 
 import numpy as np
 
@@ -61,10 +61,11 @@ class ExactInputError(TypeError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in eps, coefficients in an exact field (Fraction, mpq, ...)
+# polynomials in eps, coefficients Fractions
 # ---------------------------------------------------------------------------
 
-_ZERO_POLY = (0,)
+_ZERO_POLY = (Fraction(0),)
+_ONE_POLY = (Fraction(1),)
 
 
 def _ptrim(coeffs):
@@ -144,7 +145,7 @@ class DeferredScalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(1,), _canonical=False):
+    def __init__(self, num, den=_ONE_POLY, _canonical=False):
         if _canonical:
             self.num = num
             self.den = den
@@ -155,7 +156,7 @@ class DeferredScalar:
             raise ZeroDivisionError("DeferredScalar with zero denominator")
         if _pis_zero(num):
             self.num = _ZERO_POLY
-            self.den = (1,)
+            self.den = _ONE_POLY
             return
         g = _pgcd(num, den)
         if len(g) > 1:
@@ -173,7 +174,7 @@ class DeferredScalar:
     @classmethod
     def epsilon(cls) -> "DeferredScalar":
         """The formal parameter itself (the deferred 'symbolic zero')."""
-        return cls((0, 1), (1,), _canonical=True)
+        return cls((Fraction(0), Fraction(1)), _ONE_POLY, _canonical=True)
 
     @classmethod
     def _coerce(cls, value):
@@ -183,7 +184,7 @@ class DeferredScalar:
             raise ExactInputError("cannot mix floats into an exact solve")
         if isinstance(value, (int, np.integer)):
             value = Fraction(int(value))
-        return cls((value,), (1,), _canonical=True)
+        return cls((value,), _ONE_POLY, _canonical=True)
 
     # -- queries ---------------------------------------------------------------
 
@@ -237,7 +238,7 @@ class DeferredScalar:
     def __eq__(self, other):
         if isinstance(other, DeferredScalar):
             return self.num == other.num and self.den == other.den
-        if self.den == (1,) and len(self.num) == 1:
+        if self.den == _ONE_POLY and len(self.num) == 1:
             return self.num[0] == other
         return NotImplemented
 
@@ -429,17 +430,15 @@ def _certified(inputs: list, x: list, f: list) -> bool:
     return True
 
 
-def _modular_solve(kernel: Kernel, inputs: list, modular: dict, f: list):
-    """The certified solution of A x = f from the primes of PRIMES, or None.
-    modular maps each prime tried to its factors (None if unlucky)."""
+def _modular_solve(kernel: Kernel, inputs: list, f: list):
+    """The certified solution of A x = f from the primes of PRIMES, or None."""
     x_mod, m = [], 1
     for p in PRIMES:
-        if p not in modular:
-            modular[p] = _modular_factors(kernel, inputs, p)
+        factors = _modular_factors(kernel, inputs, p)
         f_p = _residues(f, p)
-        if modular[p] is None or f_p is None:
+        if factors is None or f_p is None:
             return None
-        x_p = [r.v for r in kernel.solve(modular[p], f_p)]
+        x_p = [r.v for r in kernel.solve(factors, f_p)]
         x_mod = _crt(x_mod, m, x_p, p) if x_mod else x_p
         m *= p
         x = _reconstruct(x_mod, m)
@@ -452,29 +451,16 @@ def _modular_solve(kernel: Kernel, inputs: list, modular: dict, f: list):
 # solvers
 # ---------------------------------------------------------------------------
 
-def factorize(matrix, kernel: Kernel) -> Callable[[np.ndarray], list]:
-    """Prepare matrix for the exact solves; the returned function solves for
-    one right-hand side per call.
-
-    The bands are checked now.  The factors modulo each prime, and the
-    fallback's Fraction factors, which only a right-hand side that does not
-    certify needs, are computed on first use and kept for later right-hand
-    sides.
-    """
-    inputs = kernel_inputs(matrix, kernel, _exact_list)
-    modular = {}
-    fallback = []
-
-    def back_solve(rhs) -> list:
-        f = _exact_list(rhs, "rhs")
-        x = _modular_solve(kernel, inputs, modular, f)
-        if x is None:
-            if not fallback:
-                fallback.append(_fraction_factors(kernel, inputs))
-            x = [_finalize(v) for v in kernel.solve(fallback[0], f)]
-        return x
-
-    return back_solve
+def _solve(system: LinearSystem, kernel: Kernel) -> list:
+    """The exact solution of system by kernel: the modular solves, and the
+    Fraction fallback when they do not certify."""
+    inputs = kernel_inputs(system.matrix, kernel, _exact_list)
+    f = _exact_list(system.rhs, "rhs")
+    x = _modular_solve(kernel, inputs, f)
+    if x is None:
+        factors = _fraction_factors(kernel, inputs)
+        x = [_finalize(v) for v in kernel.solve(factors, f)]
+    return x
 
 
 def exact_solve_pd(system: LinearSystem) -> list:
@@ -488,7 +474,7 @@ def exact_solve_pd(system: LinearSystem) -> list:
     themselves, with zero pivots deferred to eps.  Either way the result is
     a list of exact scalars whose residual is exactly zero.
     """
-    return factorize(system.matrix, SOLVERS["SPDM"].kernel)(system.rhs)
+    return _solve(system, SOLVERS["SPDM"].kernel)
 
 
 def exact_solve_td(system: LinearSystem) -> list:
@@ -511,4 +497,4 @@ def exact_solve_td(system: LinearSystem) -> list:
     SingularMatrixError is raised; a singular but consistent system has a
     finite limit and yields one member of its solution set.
     """
-    return factorize(system.matrix, SOLVERS["STDM"].kernel)(system.rhs)
+    return _solve(system, SOLVERS["STDM"].kernel)

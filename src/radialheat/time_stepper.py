@@ -9,16 +9,15 @@ current iterate.  Four shift modes decide how that system is solved:
   fixed-point form (A + P) u = rhs + P u, so even a linear problem iterates,
   and it contracts slowly when a shift entry dwarfs the row's own diagonal.
   The shift is read off every iterate's assembled matrix, whose contact
-  rows depend on the iterate's contact temperatures.  On float meshes the
-  iteration is Anderson-accelerated: the error operator (A + P)^-1 P has
-  rank at most the number of shifted rows, K + 2 on a mesh with K contacts,
-  so mixing that many past updates converges like GMRES on a linear step
-  (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), where the plain iteration
-  can stall for hundreds of passes at large tau.  Exact meshes iterate
-  plainly.
+  rows depend on the iterate's contact temperatures.  The iteration is
+  Anderson-accelerated: the error operator (A + P)^-1 P has rank at most
+  the number of shifted rows, K + 2 on a mesh with K contacts, so mixing
+  that many past updates converges like GMRES on a linear step (Walker &
+  Ni, SIAM J. Numer. Anal. 49, 2011), where the plain iteration can stall
+  for hundreds of passes at large tau.
 * "corrected" builds the same shift as the solver family's fixed-point mode
   (the "pd" shift for pentadiagonal solvers, the "td" shift for tridiagonal
-  ones) but solves the unshifted system A u = rhs exactly.  A = M - P with
+  ones) but solves the unshifted system A u = rhs.  A = M - P with
   M = A + P the dominant, pivot-free matrix and P diagonal and nonzero on a
   few rows only, so the Sherman-Morrison-Woodbury (capacitance matrix)
   formula needs one solve with M per nonzero row of P plus one for the
@@ -26,15 +25,20 @@ current iterate.  Four shift modes decide how that system is solved:
   of those solves reuses its factors.  Picard then iterates only on the
   nonlinear coefficients.
 
+The exact solvers (SPDM, STDM) need no dominance: they take "none" and
+"corrected", both one exact solve of the unshifted system.  An exact mesh
+takes only them and only constant-coefficient materials, so no Picard loop
+runs over the rationals.
+
 The converged limit is independent of the shift mode.  Iteration stops when
 the sup-norm update is at most picard_tol times the sup norm of the new
 iterate; an update of exactly zero is always accepted.  The accepted iterate
 is always a Picard image, never a mixed one.
 
-Constant-coefficient problems (every material with constant rho, cv,
-conductivity and temperature-independent source) make the system linear in
-the unknowns; with shift_mode "none" or "corrected" a single solve is then
-exact and no iteration is performed.
+Constant-coefficient problems (every material of the mesh's layers with
+constant rho, cv, conductivity and temperature-independent source) make the
+system linear in the unknowns; with shift_mode "none" or "corrected" a
+single solve is then exact and no iteration is performed.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import band_solvers
 from .assembly import LinearSystem, assemble_system
 from .band_solvers import SOLVERS, Solver, sup_norm
 from .conditioning import ShiftDiag, build_pd_shift, build_td_shift, pd_to_td
@@ -79,9 +84,9 @@ class StepConfig:
     tridiagonal first and dominantizes that, both iterating the shifted fixed
     point; "none" solves the raw system; "corrected" (the default) builds the
     solver family's shift and removes it again exactly by the low-rank
-    correction described in the module docstring.  Pentadiagonal solvers pair
-    with "pd", tridiagonal ones with "td"; "none" and "corrected" accept
-    every solver.
+    correction described in the module docstring.  The float pentadiagonal
+    solvers pair with "pd", NTDM with "td"; the exact solvers take only
+    "none" and "corrected", both one exact solve.
 
     picard_tol is relative: a step has converged once the sup-norm update is
     at most picard_tol times the sup norm of the new iterate.
@@ -104,9 +109,11 @@ class StepConfig:
             raise ValueError(f"unknown solver {self.solver_id!r}")
         if self.shift_mode not in SHIFT_MODES:
             raise ValueError(f"unknown shift mode {self.shift_mode!r}")
-        # the fixed-point shift modes are named after the band shape they fit
-        shape = SOLVERS[self.solver_id].kernel.shape
-        modes = [m for m in SHIFT_MODES if m not in ("pd", "td") or m == shape]
+        # the fixed-point shift modes are named after the band shape they
+        # fit, and dominantize for the numerical solvers only
+        solver = SOLVERS[self.solver_id]
+        modes = [m for m in SHIFT_MODES if m not in ("pd", "td")
+                 or m == solver.kernel.shape and not solver.exact]
         if self.shift_mode not in modes:
             raise ValueError(
                 f"{self.solver_id} takes shift_mode "
@@ -164,8 +171,9 @@ def _corrected_solve(system: LinearSystem, shift: ShiftDiag, solver: Solver):
     u = y + Z C^-1 y[R] (Sherman-Morrison-Woodbury).  M is factored once;
     y and every z_j are back-solves with its factors.
     """
-    back_solve = solver.factorize(shift.apply(system.matrix))
-    y = back_solve(system.rhs)
+    back_solve = band_solvers.factorize(shift.apply(system.matrix),
+                                        solver.kernel)
+    y = np.array(back_solve(system.rhs))
     entries = shift.entries.tolist()
     rows = [i for i, p in enumerate(entries) if p != 0]
     if not rows:
@@ -175,7 +183,7 @@ def _corrected_solve(system: LinearSystem, shift: ShiftDiag, solver: Solver):
     for j in rows:
         unit = zero.copy()
         unit[j] = 1
-        columns.append(back_solve(unit))
+        columns.append(np.array(back_solve(unit)))
     capacitance = [[-z[i] for z in columns] for i in rows]
     for a, i in enumerate(rows):
         capacitance[a][a] = capacitance[a][a] + 1 / entries[i]
@@ -184,10 +192,6 @@ def _corrected_solve(system: LinearSystem, shift: ShiftDiag, solver: Solver):
     for w, z in zip(weights, columns):
         u = u + w * z
     return u
-
-
-def _is_linear(materials: Mapping[str, MaterialModel]) -> bool:
-    return all(m.constant_coefficients for m in materials.values())
 
 
 # Past updates Anderson mixing keeps beyond the K + 2 shifted rows, for the
@@ -249,7 +253,7 @@ def _picard_pass(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     td = solver.kernel.shape == "td"
     if td:
         system = pd_to_td(system)
-    if cfg.shift_mode == "none":
+    if cfg.shift_mode == "none" or solver.exact:
         return solver.solution(system)
     shift = (build_td_shift if td else build_pd_shift)(system.matrix)
     if cfg.shift_mode == "corrected":
@@ -267,27 +271,39 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     Iterates u^(k+1) = solve(A(u^k), rhs(u^k)) from u^(0) = u_old, where the
     "pd" and "td" modes solve the shifted fixed point (A + P) u = rhs + P u^k
     instead, until the sup-norm update is at most cfg.picard_tol times the
-    sup norm of u^(k+1).  On float meshes those two modes step to the
-    Anderson mix of the last K + 2 + _ANDERSON_MARGIN updates, K the mesh's
-    contact count, and at most cfg.max_picard; the stop test is the same, so
-    the accepted field is still a Picard image.  Raises NonConvergenceError
-    after cfg.max_picard passes without meeting the stop test.
+    sup norm of u^(k+1).  Those two modes step to the Anderson mix of the
+    last K + 2 + _ANDERSON_MARGIN updates, K the mesh's contact count, and
+    at most cfg.max_picard; the stop test is the same, so the accepted field
+    is still a Picard image.  Raises NonConvergenceError after
+    cfg.max_picard passes without meeting the stop test.  On an exact mesh
+    it raises ValueError, before assembling, unless the solver is exact and
+    every layer's material has constant coefficients.
 
     extra_source is a length-N vector added to the interior right-hand sides
     (evaluate any space/time source at the new time level before calling).
     """
+    # the first layer material that depends on u; None: the step is linear
+    nonlinear = next((mid for mid in mesh.layer_materials
+                      if not materials[mid].constant_coefficients), None)
+    if mesh.is_exact:
+        if not SOLVERS[cfg.solver_id].exact:
+            exact = ", ".join(s for s, spec in SOLVERS.items() if spec.exact)
+            raise ValueError(f"an exact mesh takes the solvers {exact}, "
+                             f"not {cfg.solver_id}")
+        if nonlinear is not None:
+            raise ValueError(f"an exact step needs constant coefficients; "
+                             f"material {nonlinear!r} depends on temperature")
     u_prev = u_old.values
     u_iter = u_prev
-    linear = _is_linear(materials)
     mixer = None
-    if cfg.shift_mode in ("pd", "td") and not mesh.is_exact:
+    if cfg.shift_mode in ("pd", "td"):
         # no step keeps more differences than it runs passes
         depth = mesh.k + 2 + _ANDERSON_MARGIN
         mixer = _Anderson(min(depth, cfg.max_picard), mesh.n)
 
     for k in range(1, cfg.max_picard + 1):
         u_next = _picard_pass(mesh, materials, u_iter, u_prev, cfg, extra_source)
-        if linear and cfg.shift_mode in ("none", "corrected"):
+        if nonlinear is None and cfg.shift_mode in ("none", "corrected"):
             # system and RHS do not depend on the iterate: one solve is exact
             return TemperatureField(u_next, u_old.time + cfg.tau), k
         update = u_next - u_iter
@@ -306,27 +322,23 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
 
 def run(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
         u0: TemperatureField, cfg: StepConfig, steps: int,
-        source=None, record_every: int = 1) -> list[TemperatureField]:
-    """Advance `steps` time steps, recording every record_every-th field.
+        source=None) -> list[TemperatureField]:
+    """Advance `steps` time steps; returns u0 and every field after it.
 
     source, if given, is a callable source(r, t) evaluated per node at each
-    step's new time level.  The returned trajectory starts with u0 and
-    always includes the final field.
+    step's new time level.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     trajectory = [u0]
     field_now = u0
     radii = mesh.nodes.tolist()
-    for step in range(1, steps + 1):
+    for _ in range(steps):
         extra = None
         if source is not None:
             t_new = field_now.time + cfg.tau
             extra = [source(r, t_new) for r in radii]
         field_now, _ = advance(mesh, materials, field_now, cfg,
                                extra_source=extra)
-        if step % record_every == 0 or step == steps:
-            trajectory.append(field_now)
+        trajectory.append(field_now)
     return trajectory

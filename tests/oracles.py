@@ -16,7 +16,9 @@ order that BandMatrix.matvec and conditioning.pd_to_td must keep.
 mesh_nodes_rows likewise writes build_mesh's whole-array node construction
 one node at a time.  fraction_kernel_solve runs the package's own band
 kernels directly over Fractions: the exact solvers' modular solves and
-their fallback must both reproduce it.
+their fallback must both reproduce it.  column_woodbury_solve restates the
+corrected shift mode's Sherman-Morrison-Woodbury solve from one public
+solve per column.
 """
 
 from bisect import bisect_left
@@ -24,9 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from radialheat import (assemble_contact_row, assemble_interior_row,
-                        assemble_neumann_rows, contact_conductivities, sample)
+from radialheat import (SOLVERS, LinearSystem, assemble_contact_row,
+                        assemble_interior_row, assemble_neumann_rows,
+                        contact_conductivities, sample)
 from radialheat.band_solvers import raise_breakdown
+from radialheat.time_stepper import _dense_solve
 
 
 def dense_solve(system):
@@ -107,6 +111,31 @@ def fraction_kernel_solve(system, kernel):
     inputs = [band.tolist() for band in m.bands()]
     factors = kernel.factor(inputs, [0] * m.n, raise_breakdown)
     return kernel.solve(factors, system.rhs.tolist())
+
+
+def column_woodbury_solve(system, shift, solver_id):
+    """The unshifted solution A u = rhs of the corrected mode, from M = A + P.
+
+    y = M^-1 rhs and each column z_j = M^-1 e_j, j a row where P is
+    nonzero, come from a separate public solve of solver_id; then u = y +
+    Z C^-1 y[R] with the capacitance matrix C = diag(1/P_R) - Z[R, :], in
+    the package's operation order.  The small solve with C is the package's
+    own time_stepper._dense_solve.
+    """
+    solve = SOLVERS[solver_id].entry_point()
+    shifted = shift.apply(system.matrix)
+    rows = [i for i, p in enumerate(shift.entries.tolist()) if p != 0]
+    y = solve(LinearSystem(shifted, system.rhs)).solution
+    columns = [solve(LinearSystem(shifted, np.eye(shifted.n)[j])).solution
+               for j in rows]
+    capacitance = [[-z[i] for z in columns] for i in rows]
+    for a, i in enumerate(rows):
+        capacitance[a][a] = capacitance[a][a] + 1 / shift.entries[i]
+    weights = _dense_solve(capacitance, [y[i] for i in rows])
+    u = y
+    for w, z in zip(weights, columns):
+        u = u + w * z
+    return u
 
 
 def fraction_det(matrix_rows):

@@ -29,7 +29,8 @@ def test_default_layers_hit_requested_node_count():
 
 
 def test_scenario_validation():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="n=20 gives fewer than 4 cells "
+                                            "per layer at k=11"):
         BenchScenario(n_values=(20,), k=11)  # too small for 12 layers
     with pytest.raises(ScenarioError):
         BenchScenario(n_values=(10**8,))  # huge without the flag

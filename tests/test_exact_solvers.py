@@ -184,6 +184,7 @@ def test_singular_consistent_matrix_returns_a_solution():
     x = exact_solve_td(system)
     res = system.matrix.matvec(np.array(x, dtype=object)) - system.rhs
     assert all(v == 0 for v in res.tolist())
+    assert all(type(v) is Fraction for v in x)
 
 
 def test_spdm_and_stdm_agree_after_exact_reduction():

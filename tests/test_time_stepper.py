@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import column_woodbury_solve
 from radialheat import (SOLVERS, LayerSpec, LinearSystem, MaterialModel,
                         NonConvergenceError, Polynomial, StepConfig,
                         TemperatureField, advance, assemble_system,
                         build_mesh, build_pd_shift, build_td_shift,
                         pd_to_td, run)
-from radialheat import assembly, band_solvers, time_stepper
+from radialheat import assembly, band_solvers, exact_solvers, time_stepper
 from radialheat.bench import constructed_profile, default_layers
 
 LINEAR_MATERIALS = {
@@ -177,7 +178,7 @@ def test_insulated_constant_state_invariant_over_100_steps():
     mesh = two_layer_mesh()
     u0 = TemperatureField(np.full(mesh.n, 3.0), 0.0)
     cfg = StepConfig(tau=0.2, solver_id="NTDM", shift_mode="td")
-    trajectory = run(mesh, LINEAR_MATERIALS, u0, cfg, 100, record_every=25)
+    trajectory = run(mesh, LINEAR_MATERIALS, u0, cfg, 100)[::25]
     assert len(trajectory) == 5
     for field in trajectory:
         assert np.max(np.abs(field.values - 3.0)) < 1e-12
@@ -217,6 +218,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="NPDM takes shift_mode 'none', 'pd', "
                                          "'corrected', not 'td'"):
         StepConfig(tau=0.1, solver_id="NPDM", shift_mode="td")
+    # the exact solvers take no dominance shift
+    for solver, mode in (("SPDM", "pd"), ("STDM", "td")):
+        with pytest.raises(ValueError) as err:
+            StepConfig(tau=Fraction(1, 10), solver_id=solver, shift_mode=mode)
+        assert str(err.value) == (f"{solver} takes shift_mode 'none', "
+                                  f"'corrected', not {mode!r}")
     with pytest.raises(ValueError, match="max_picard must be >= 1"):
         StepConfig(tau=0.1, max_picard=0)
     assert StepConfig(tau=0.1).shift_mode == "corrected"
@@ -245,23 +252,8 @@ def test_corrected_pass_factors_once_and_matches_column_solves(monkeypatch,
     monkeypatch.setattr(band_solvers, "factorize", counted)
     x = time_stepper._corrected_solve(system, shift, SOLVERS[solver])
     assert len(calls) == 1
-
-    # the same Woodbury correction from one public solve per column
-    solve = SOLVERS[solver].entry_point()
-    shifted = shift.apply(system.matrix)
-    rows = [i for i, p in enumerate(shift.entries.tolist()) if p != 0]
-    y = solve(LinearSystem(shifted, system.rhs)).solution
-    columns = [solve(LinearSystem(shifted, np.eye(mesh.n)[j])).solution
-               for j in rows]
-    capacitance = [[-z[i] for z in columns] for i in rows]
-    for a, i in enumerate(rows):
-        capacitance[a][a] = capacitance[a][a] + 1 / shift.entries[i]
-    weights = time_stepper._dense_solve(capacitance, [y[i] for i in rows])
-    expected = y
-    for w, z in zip(weights, columns):
-        expected = expected + w * z
-    assert len(rows) >= 3
-    assert np.array_equal(x, expected)
+    assert np.count_nonzero(shift.entries) >= 3
+    assert np.array_equal(x, column_woodbury_solve(system, shift, solver))
 
 
 def test_anderson_converges_every_shifted_step():
@@ -333,21 +325,91 @@ def test_pentadiagonal_shift_pass_evaluates_contacts_once(monkeypatch, mode,
     assert len(calls) == 1
 
 
-def test_exact_fixed_point_steps_iterate_plainly():
-    mesh = build_mesh([LayerSpec(Fraction(1), Fraction(2), "a", 4),
+def exact_two_layer_mesh():
+    return build_mesh([LayerSpec(Fraction(1), Fraction(2), "a", 4),
                        LayerSpec(Fraction(2), Fraction(3), "b", 4)])
-    mats = {
-        "a": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((2,))),
-        "b": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((1,))),
-    }
+
+
+EXACT_LINEAR_MATERIALS = {
+    "a": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((2,))),
+    "b": MaterialModel(Polynomial((1,)), Polynomial((1,)), Polynomial((1,))),
+}
+
+
+def exact_field(mesh):
     values = np.array([Fraction(1) + Fraction(i, 10) for i in range(mesh.n)],
                       dtype=object)
-    u0 = TemperatureField(values, Fraction(0))
-    for (mode, solver), expected in zip((("pd", "SPDM"), ("td", "STDM")), (10, 9)):
-        cfg = StepConfig(tau=Fraction(1, 10), picard_tol=1e-3, solver_id=solver,
-                         shift_mode=mode)
-        field, passes = advance(mesh, mats, u0, cfg)
-        plain, plain_passes = _plain_picard(mesh, mats, u0, cfg)
-        assert passes == plain_passes == expected
-        assert field.values.tolist() == plain.tolist()
-        assert all(isinstance(v, Fraction) for v in field.values.tolist())
+    return TemperatureField(values, Fraction(0))
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """The arguments of each assemble_system call the time stepper makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_system(*args, **kwargs)
+
+    monkeypatch.setattr(time_stepper, "assemble_system", counted)
+    return calls
+
+
+def test_exact_mesh_rejects_a_float_solver_before_assembly(assemblies):
+    mesh = exact_two_layer_mesh()
+    cfg = StepConfig(tau=Fraction(1, 10), solver_id="NTDM", shift_mode="none")
+    with pytest.raises(ValueError) as err:
+        advance(mesh, EXACT_LINEAR_MATERIALS, exact_field(mesh), cfg)
+    assert str(err.value) == "an exact mesh takes the solvers SPDM, STDM, not NTDM"
+    assert assemblies == []
+
+
+def test_exact_mesh_rejects_a_nonlinear_material_before_assembly(assemblies):
+    # "c" depends on temperature too but no layer uses it; "b" is named
+    mesh = exact_two_layer_mesh()
+    mats = {
+        "c": MaterialModel(Polynomial((1,)), Polynomial((1,)),
+                           Polynomial((1, Fraction(1, 2)))),
+        "a": EXACT_LINEAR_MATERIALS["a"],
+        "b": MaterialModel(Polynomial((1,)), Polynomial((1,)),
+                           Polynomial((Fraction(1, 2), Fraction(1, 4)))),
+    }
+    for solver in ("SPDM", "STDM"):
+        cfg = StepConfig(tau=Fraction(1, 10), solver_id=solver)
+        with pytest.raises(ValueError) as err:
+            advance(mesh, mats, exact_field(mesh), cfg)
+        assert str(err.value) == ("an exact step needs constant coefficients; "
+                                  "material 'b' depends on temperature")
+    assert assemblies == []
+
+
+@pytest.mark.parametrize("solver", ["SPDM", "STDM"])
+def test_exact_corrected_step_is_one_exact_solve(monkeypatch, solver):
+    mesh = exact_two_layer_mesh()
+    u0 = exact_field(mesh)
+    # an unused temperature-dependent material does not make the step iterate
+    mats = dict(EXACT_LINEAR_MATERIALS, c=MaterialModel(
+        Polynomial((1,)), Polynomial((1,)), Polynomial((1, Fraction(1, 2)))))
+    expected, _ = advance(mesh, mats, u0, StepConfig(
+        tau=Fraction(1, 10), solver_id=solver, shift_mode="none"))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    entry = SOLVERS[solver].entry
+    monkeypatch.setattr(exact_solvers, entry,
+                        counted(entry, getattr(exact_solvers, entry)))
+    monkeypatch.setattr(band_solvers, "factorize",
+                        counted("factorize", band_solvers.factorize))
+    monkeypatch.setattr(time_stepper, "_dense_solve",
+                        counted("_dense_solve", time_stepper._dense_solve))
+    field, passes = advance(mesh, mats, u0, StepConfig(
+        tau=Fraction(1, 10), solver_id=solver, shift_mode="corrected"))
+    assert calls == [entry]
+    assert passes == 1
+    assert field.values.tolist() == expected.values.tolist()
+    assert all(type(v) is Fraction for v in field.values.tolist())
