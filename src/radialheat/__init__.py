@@ -9,17 +9,14 @@ rational solvers that survive zero pivots, implicit time stepping, and a
 benchmark harness with a CLI (``radialheat``).
 """
 
-from .mesh import (LayerSpec, RadialMesh, build_mesh, geometry,
-                   MeshDomainError, MeshSpacingError, MeshStructureError)
-from .materials import (CoefficientSample, MaterialDomainError, MaterialModel,
-                        Polynomial, sample)
+from .mesh import (LayerSpec, RadialMesh, build_mesh, MeshDomainError,
+                   MeshSpacingError, MeshStructureError)
+from .materials import MaterialDomainError, MaterialModel, Polynomial
 from .assembly import (LinearSystem, PentaMatrix, StencilError, TriMatrix,
-                       assemble_contact_row, assemble_interior_row,
-                       assemble_neumann_rows, assemble_system,
-                       contact_conductivities)
+                       assemble_contact_row, assemble_neumann_rows,
+                       assemble_system, contact_conductivities)
 from .conditioning import (ReductionBreakdownError, ShiftDiag, build_pd_shift,
-                           build_td_shift, is_weakly_dominant, pd_to_td,
-                           weakly_dominant_rows)
+                           build_td_shift, pd_to_td, weakly_dominant_rows)
 from .band_solvers import (SOLVERS, BreakdownError, SolveReport,
                            solve_pd_lu, solve_pd_modified, solve_td_thomas)
 from .exact_solvers import (DeferredScalar, ExactInputError,

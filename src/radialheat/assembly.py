@@ -19,21 +19,20 @@ on their own.  conditioning.build_pd_shift reads these deficits off the
 assembled matrix, so the contact stencil is stated here only; the closed
 forms are kept in tests/oracles.py as the oracle.
 
-assemble_system builds all interior rows in one whole-array pass.  For each
+assemble_system is the one statement of the interior row.  For each
 material it gathers the material's non-contact interior nodes by index and
 evaluates the coefficient polynomials on the gathered temperatures at once;
-the stencil entries of every row are then computed together, in the same
-operation order as assemble_interior_row, so float64 results are
-bit-identical to the row-by-row formulas (numpy applies one ufunc per
-operation, with no fused multiply-add).  The range and positivity checks
-run on the same arrays and name the first node at fault.  The Neumann and
-contact rows, O(K) in number, come from their row helpers.
+the stencil entries of every row are then computed together, with the steps
+read from mesh.steps.  numpy applies one ufunc per operation, with no fused
+multiply-add, so float64 results are bit-identical to the same formulas
+written one row at a time; tests/oracles.py keeps that row-by-row version
+as the oracle.  The range and positivity checks run on the same arrays and
+name the first node at fault.  The Neumann and contact rows, O(K) in
+number, come from their row helpers.
 
 Exact meshes run the same code: exact temperatures and tau give object
 (Fraction) arrays, on which numpy applies Python's exact arithmetic element
-by element; float meshes give float64 arrays.  assemble_interior_row,
-materials.sample and CoefficientSample state the interior row one node at a
-time and serve as the oracle the tests hold assemble_system to.
+by element; float meshes give float64 arrays.
 
 PentaMatrix and TriMatrix state their band layout once, in BandMatrix: each
 lists its diagonal fields in BANDS, lowest offset first.  matvec, to_dense,
@@ -48,7 +47,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .materials import CoefficientSample, MaterialDomainError, MaterialModel
+from .materials import MaterialDomainError, MaterialModel
 from .mesh import RadialMesh
 
 
@@ -152,21 +151,6 @@ class PentaMatrix(BandMatrix):
     def __post_init__(self):
         self.full_rows = tuple(int(i) for i in self.full_rows)
 
-    def validate(self):
-        n = self.n
-        full = set(self.full_rows)
-        for name, diag, lo in (("d2m", self.d2m, 2), ("d1m", self.d1m, 1)):
-            for i in range(min(lo, n)):
-                if diag[i] != 0:
-                    raise ValueError(f"{name}[{i}] out of band but nonzero")
-        for name, diag, hi in (("d1p", self.d1p, 1), ("d2p", self.d2p, 2)):
-            for i in range(max(n - hi, 0), n):
-                if diag[i] != 0:
-                    raise ValueError(f"{name}[{i}] out of band but nonzero")
-        for i in range(n):
-            if (self.d2m[i] != 0 or self.d2p[i] != 0) and i not in full:
-                raise ValueError(f"row {i} has outer entries but is not in full_rows")
-
 
 @dataclass(eq=False)
 class TriMatrix(BandMatrix):
@@ -207,36 +191,6 @@ class LinearSystem:
 # row assembly
 # ---------------------------------------------------------------------------
 
-def assemble_interior_row(mesh: RadialMesh, coeff: CoefficientSample, i: int,
-                          tau, u_old_i):
-    """Implicit conduction row at interior node i.
-
-    Returns (c_{i,i-1}, c_{i,i}, c_{i,i+1}, rhs_i) with the unknowns on the
-    left and the main diagonal positive:
-
-        c_{i,i-1} = -r_{i-1/2} lam_{i-1/2} / (r_i hbar_i h_i)
-        c_{i,i+1} = -r_{i+1/2} lam_{i+1/2} / (r_i hbar_i h_{i+1})
-        c_{i,i}   = rho*c/tau - c_{i,i-1} - c_{i,i+1}
-        rhs_i     = rho*c*u_old_i/tau + phi_i
-    """
-    n = mesh.n
-    if not 1 <= i <= n - 2 or i in mesh.contact_indices:
-        raise StencilError(f"node {i} does not take the interior stencil")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    r_prev, r_i, r_next = mesh.nodes[i - 1], mesh.nodes[i], mesh.nodes[i + 1]
-    h_lo = r_i - r_prev
-    h_hi = r_next - r_i
-    hbar = (h_lo + h_hi) / 2
-    r_lo = (r_prev + r_i) / 2
-    r_hi = (r_i + r_next) / 2
-    c_lo = -(r_lo * coeff.lambda_minus) / (r_i * hbar * h_lo)
-    c_hi = -(r_hi * coeff.lambda_plus) / (r_i * hbar * h_hi)
-    diag = coeff.rho_c / tau - c_lo - c_hi
-    rhs = coeff.rho_c * u_old_i / tau + coeff.phi
-    return c_lo, diag, c_hi, rhs
-
-
 def assemble_neumann_rows(mesh: RadialMesh):
     """One-sided second-order zero-derivative rows for both ends.
 
@@ -245,8 +199,6 @@ def assemble_neumann_rows(mesh: RadialMesh):
     with equal steps row 0 is (3, -4, 1) times h^2.  Coefficients of each row
     sum to zero (the derivative of a constant vanishes).
     """
-    if mesh.n < 3:
-        raise StencilError("Neumann stencils need at least 3 nodes")
     steps = mesh.steps
     h1, h2 = steps[0], steps[1]
     row_first = (h2 * (2 * h1 + h2), -((h1 + h2) * (h1 + h2)), h1 * h1)
@@ -413,10 +365,9 @@ def assemble_system(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
     if faults:  # the lowest node; at a tie the check listed first
         raise min(faults, key=lambda exc: exc.node)
 
-    # interior rows, in assemble_interior_row's operation order
+    # interior rows
     r_prev, r_i, r_next = mesh.nodes[rows - 1], mesh.nodes[rows], mesh.nodes[rows + 1]
-    h_lo = r_i - r_prev
-    h_hi = r_next - r_i
+    h_lo, h_hi = mesh.steps[rows - 1], mesh.steps[rows]
     hbar = (h_lo + h_hi) / 2
     r_lo = (r_prev + r_i) / 2
     r_hi = (r_i + r_next) / 2

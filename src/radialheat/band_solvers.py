@@ -302,7 +302,7 @@ def _float_solve(system: LinearSystem, solver_id: str) -> SolveReport:
     m = system.matrix
     x = _field(factorize(m, kernel)(system.rhs), system.rhs.dtype == object)
     return SolveReport(x, op_count(kernel, m),
-                       sup_norm(m.matvec(x) - system.rhs), solver_id)
+                       sup_norm(system.residual(x)), solver_id)
 
 
 def solve_pd_lu(system: LinearSystem) -> SolveReport:

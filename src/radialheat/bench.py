@@ -528,26 +528,6 @@ def manufactured_two_layer(lam1=1.0, lam2=4.0, rho_c1=1.0, rho_c2=2.0,
         u, source, "two layers, conductivity jump, nonzero interface flux")
 
 
-def _jittered_mesh(layers, factor: int, seed: int) -> RadialMesh:
-    """Uniform per-layer mesh with interior nodes jittered by up to 40% of
-    the local step (interfaces stay put): breaks the piecewise-constant-step
-    premise of the second-order claim."""
-    base = build_mesh([
-        LayerSpec(l.r_start, l.r_end, l.material_id, l.cells * factor)
-        for l in layers
-    ])
-    rng = np.random.default_rng(seed + 1000 * factor)
-    nodes = [float(v) for v in base.nodes.tolist()]
-    fixed = {0, base.n - 1, *base.contact_indices}
-    for i in range(1, base.n - 1):
-        if i in fixed:
-            continue
-        h_local = min(nodes[i] - nodes[i - 1], nodes[i + 1] - nodes[i])
-        nodes[i] += float(rng.uniform(-0.4, 0.4)) * h_local
-    return RadialMesh.from_nodes(nodes, base.contact_indices,
-                                 base.layer_materials)
-
-
 @dataclass
 class ConvergenceReport:
     """Errors and order estimates from one refinement sequence."""
@@ -577,28 +557,20 @@ class ConvergenceReport:
 
 
 def convergence_study(layers, materials, solution: ManufacturedSolution,
-                      cells_factors=(1, 2, 4, 8), t_final: float = 0.5,
-                      randomize_steps: bool = False,
-                      seed: int = 0) -> ConvergenceReport:
-    """Refine the mesh by cells_factors, step to t_final by NTDM without a
-    shift, with tau ~ h^2, and report the observed spatial order against the
-    manufactured solution.
-
-    randomize_steps=True replaces each refined mesh by a jittered-step
-    variant (layer interfaces kept), the control for the
-    piecewise-constant-step requirement of second-order accuracy.  A
-    non-monotone error sequence yields an inconclusive report, not an error.
+                      cells_factors=(1, 2, 4, 8),
+                      t_final: float = 0.5) -> ConvergenceReport:
+    """Refine each layer's cells by cells_factors, step to t_final by NTDM
+    without a shift, with tau ~ h^2, and report the observed spatial order
+    against the manufactured solution.  A non-monotone error sequence
+    yields an inconclusive report, not an error.
     """
     h_values = []
     errors = []
     for factor in cells_factors:
-        if randomize_steps:
-            mesh = _jittered_mesh(layers, factor, seed)
-        else:
-            mesh = build_mesh([
-                LayerSpec(l.r_start, l.r_end, l.material_id, l.cells * factor)
-                for l in layers
-            ])
+        mesh = build_mesh([
+            LayerSpec(l.r_start, l.r_end, l.material_id, l.cells * factor)
+            for l in layers
+        ])
         steps = STUDY_STEPS * factor * factor
         tau = t_final / steps
         cfg = StepConfig(tau=tau, solver_id="NTDM", shift_mode="none")
@@ -629,8 +601,7 @@ def convergence_study(layers, materials, solution: ManufacturedSolution,
         if denom > 0:
             observed = sum((lh - mean_h) * (le - mean_e)
                            for lh, le in zip(logs_h, logs_e)) / denom
-    tag = " [randomized steps]" if randomize_steps else ""
-    return ConvergenceReport(solution.description + tag, h_values, errors,
+    return ConvergenceReport(solution.description, h_values, errors,
                              pair_orders, observed, monotone)
 
 

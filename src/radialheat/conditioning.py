@@ -149,10 +149,6 @@ def weakly_dominant_rows(matrix, rtol: float = 0.0) -> np.ndarray:
     return np.asarray(diag + slack >= off, dtype=bool)
 
 
-def is_weakly_dominant(matrix, rtol: float = 0.0) -> bool:
-    return bool(np.all(weakly_dominant_rows(matrix, rtol)))
-
-
 def build_td_shift(td: TriMatrix) -> ShiftDiag:
     """Dominance shift for a reduced tridiagonal matrix.
 

@@ -113,19 +113,6 @@ class MaterialModel:
             raise MaterialDomainError(
                 f"temperature {u} outside validity range [{lo}, {hi}]", value=u)
 
-    def rho_c(self, u):
-        """rho(u) * cv(u), range- and positivity-checked."""
-        self.check_temperature(u)
-        rho = self.rho(u)
-        cv = self.cv(u)
-        if not rho > 0:
-            raise MaterialDomainError(f"rho({u}) = {rho} is not positive",
-                                      value=rho)
-        if not cv > 0:
-            raise MaterialDomainError(f"cv({u}) = {cv} is not positive",
-                                      value=cv)
-        return rho * cv
-
     def conductivity_at(self, u):
         """lambda(u), range- and positivity-checked."""
         self.check_temperature(u)
@@ -145,36 +132,3 @@ class MaterialModel:
             and self.conductivity.is_constant
             and self.source.is_constant
         )
-
-
-@dataclass(frozen=True)
-class CoefficientSample:
-    """Stencil-time coefficient values at one node.
-
-    lambda_minus / lambda_plus are the conductivities at the two adjacent
-    cell-mean temperatures; rho_c and phi are evaluated at the node itself.
-    Built from a MaterialModel via sample(); degenerate values (e.g. zero
-    conductivity) may be constructed directly for testing.
-    """
-
-    rho_c: object
-    lambda_minus: object
-    lambda_plus: object
-    phi: object
-
-
-def sample(model: MaterialModel, u_i, u_im1, u_ip1) -> CoefficientSample:
-    """Evaluate one node's stencil coefficients at the given temperatures.
-
-    The half-point conductivities are evaluated at the arithmetic mean of
-    the endpoint temperatures.  All three temperatures must lie inside the
-    model's validity range.
-    """
-    for u in (u_i, u_im1, u_ip1):
-        model.check_temperature(u)
-    return CoefficientSample(
-        rho_c=model.rho_c(u_i),
-        lambda_minus=model.conductivity_at((u_i + u_im1) / 2),
-        lambda_plus=model.conductivity_at((u_i + u_ip1) / 2),
-        phi=model.source(u_i),
-    )

@@ -3,8 +3,9 @@
 The mesh places a node on every layer interface.  Interface nodes ("contact
 nodes") carry a five-point flux-continuity stencil, the two outermost nodes
 carry three-point one-sided Neumann stencils, and every other node carries the
-three-point conduction stencil.  All of those stencils read geometry straight
-off the node array, so the mesh stores nodes as the single source of truth.
+three-point conduction stencil.  All of those stencils read their geometry
+off the node array and the steps derived from it once, at construction, so
+the nodes are the single source of truth.
 
 Meshes are value objects holding read-only copies of their arrays, so they
 are immutable after construction and safe to share between threads.  A
@@ -164,25 +165,6 @@ class RadialMesh:
         """True when nodes are stored as exact rationals."""
         return self.nodes.dtype == object
 
-    @property
-    def uniform_steps_per_layer(self) -> bool:
-        """True when the step is constant inside every layer (exactly on an
-        exact mesh, to 1e-12 relative on a float one): the regime in which
-        the conduction stencil is second-order.  False on a graded mesh.
-        """
-        bounds = (0, *self.contact_indices, self.n - 1)
-        steps = self.steps.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            region = steps[lo:hi]
-            if self.is_exact:
-                if any(h != region[0] for h in region):
-                    return False
-            else:
-                hmax, hmin = max(region), min(region)
-                if hmax - hmin > 1e-12 * hmax:
-                    return False
-        return True
-
     @classmethod
     def from_nodes(cls, nodes, contact_indices, layer_materials) -> "RadialMesh":
         """Build a mesh directly from a node list (graded meshes allowed);
@@ -242,19 +224,3 @@ def build_mesh(layers: Sequence[LayerSpec]) -> RadialMesh:
     nodes = np.concatenate(pieces).astype(object if exact else np.float64, copy=False)
     contacts = tuple(accumulate(spec.cells for spec in layers[:-1]))
     return RadialMesh(nodes, contacts, tuple(spec.material_id for spec in layers))
-
-
-def geometry(mesh: RadialMesh, i: int):
-    """Half-step average and cell midpoints at interior node i.
-
-    Returns (hbar_i, r_{i-1/2}, r_{i+1/2}) where hbar_i is the mean of the
-    two adjacent steps and r_{i+-1/2} are the midpoints of the adjacent
-    cells.  Values are recomputed from the node array on every call.
-    """
-    n = mesh.n
-    if not 1 <= i <= n - 2:
-        raise IndexError(f"geometry needs an interior node, got i={i} of N={n}")
-    r_prev, r_i, r_next = mesh.nodes[i - 1], mesh.nodes[i], mesh.nodes[i + 1]
-    h_lo = r_i - r_prev
-    h_hi = r_next - r_i
-    return (h_lo + h_hi) / 2, (r_prev + r_i) / 2, (r_i + r_next) / 2

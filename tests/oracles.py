@@ -7,12 +7,15 @@ plain Gaussian elimination with partial pivoting by magnitude).
 
 The assembly and shift-scan oracles are the exception: they restate the
 package's whole-array assemble_system and build_td_shift one row at a time,
-from the per-row helpers (sample, assemble_interior_row, ...), so the
-whole-array code can be held to them value for value.  pd_shift_rows keeps
-the paper's closed form of the pentadiagonal shift, which build_pd_shift
-reads off the assembled matrix instead.  So do the band
-product and the PD -> TD reduction oracles, which write out the operation
-order that BandMatrix.matvec and conditioning.pd_to_td must keep.
+so the whole-array code can be held to them value for value.  Here the
+interior row is written one node at a time: sample evaluates a node's
+coefficients and assemble_interior_row its stencil, with the steps
+recomputed from the nodes.  band_pattern_errors checks the sparsity of a
+PentaMatrix.  pd_shift_rows keeps the paper's closed form of the
+pentadiagonal shift, which build_pd_shift reads off the assembled matrix
+instead.  So do the band product and the PD -> TD reduction oracles, which
+write out the operation order that BandMatrix.matvec and
+conditioning.pd_to_td must keep.
 mesh_nodes_rows likewise writes build_mesh's whole-array node construction
 one node at a time.  fraction_kernel_solve runs the package's own band
 kernels directly over Fractions: the exact solvers' modular solves and
@@ -23,12 +26,13 @@ solve per column.
 
 from bisect import bisect_left
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from radialheat import (SOLVERS, LinearSystem, assemble_contact_row,
-                        assemble_interior_row, assemble_neumann_rows,
-                        contact_conductivities, sample)
+from radialheat import (SOLVERS, LinearSystem, MaterialDomainError,
+                        assemble_contact_row, assemble_neumann_rows,
+                        contact_conductivities)
 from radialheat.band_solvers import raise_breakdown
 from radialheat.time_stepper import _dense_solve
 
@@ -183,11 +187,74 @@ def mesh_nodes_rows(layers):
     return np.array(nodes, dtype=object if exact else np.float64)
 
 
+class CoefficientSample(NamedTuple):
+    """One node's stencil coefficients: rho*c and phi at the node, lambda at
+    the two adjacent cell-mean temperatures."""
+
+    rho_c: object
+    lambda_minus: object
+    lambda_plus: object
+    phi: object
+
+
+def sample(model, u_i, u_im1, u_ip1):
+    """Range- and positivity-checked coefficients of one node.  The
+    half-point conductivities are lambda of the mean temperature."""
+    for u in (u_i, u_im1, u_ip1):
+        model.check_temperature(u)
+    rho, cv = model.rho(u_i), model.cv(u_i)
+    for name, value in (("rho", rho), ("cv", cv)):
+        if not value > 0:
+            raise MaterialDomainError(f"{name}({u_i}) = {value} is not positive",
+                                      value=value)
+    return CoefficientSample(rho * cv,
+                             model.conductivity_at((u_i + u_im1) / 2),
+                             model.conductivity_at((u_i + u_ip1) / 2),
+                             model.source(u_i))
+
+
+def assemble_interior_row(mesh, coeff, i, tau, u_old_i):
+    """(c_{i,i-1}, c_{i,i}, c_{i,i+1}, rhs_i) of interior node i:
+
+        c_{i,i-1} = -r_{i-1/2} lam_{i-1/2} / (r_i hbar_i h_i)
+        c_{i,i+1} = -r_{i+1/2} lam_{i+1/2} / (r_i hbar_i h_{i+1})
+        c_{i,i}   = rho*c/tau - c_{i,i-1} - c_{i,i+1}
+        rhs_i     = rho*c*u_old_i/tau + phi_i
+    """
+    r_prev, r_i, r_next = mesh.nodes[i - 1], mesh.nodes[i], mesh.nodes[i + 1]
+    h_lo = r_i - r_prev
+    h_hi = r_next - r_i
+    hbar = (h_lo + h_hi) / 2
+    r_lo = (r_prev + r_i) / 2
+    r_hi = (r_i + r_next) / 2
+    c_lo = -(r_lo * coeff.lambda_minus) / (r_i * hbar * h_lo)
+    c_hi = -(r_hi * coeff.lambda_plus) / (r_i * hbar * h_hi)
+    diag = coeff.rho_c / tau - c_lo - c_hi
+    rhs = coeff.rho_c * u_old_i / tau + coeff.phi
+    return c_lo, diag, c_hi, rhs
+
+
+def band_pattern_errors(matrix):
+    """The nonzero entries of a PentaMatrix that lie outside the matrix, or
+    on an outer diagonal of a row missing from full_rows, as messages."""
+    n = matrix.n
+    errors = []
+    for name, diag, out in (("d2m", matrix.d2m, range(min(2, n))),
+                            ("d1m", matrix.d1m, range(min(1, n))),
+                            ("d1p", matrix.d1p, range(max(n - 1, 0), n)),
+                            ("d2p", matrix.d2p, range(max(n - 2, 0), n))):
+        errors += [f"{name}[{i}] out of band but nonzero" for i in out if diag[i] != 0]
+    errors += [f"row {i} has outer entries but is not in full_rows"
+               for i in range(n) if (matrix.d2m[i] != 0 or matrix.d2p[i] != 0)
+               and i not in matrix.full_rows]
+    return errors
+
+
 def assemble_rows(mesh, materials, u_guess, u_old, tau, extra_source=None):
-    """Row-by-row assembly from the per-node helpers: one materials.sample
-    and one assemble_interior_row call per interior node, then the Neumann
-    and contact rows.  Returns (d2m, d1m, d0, d1p, d2p, rhs) as lists, the
-    reference that the whole-array assemble_system must match exactly."""
+    """Row-by-row assembly: one sample and one assemble_interior_row call
+    per interior node, then the package's Neumann and contact rows.  Returns
+    (d2m, d1m, d0, d1p, d2p, rhs) as lists, the reference that the
+    whole-array assemble_system must match exactly."""
     n = mesh.n
     u_guess, u_old = list(u_guess), list(u_old)
     d2m, d1m, d0, d1p, d2p, rhs = ([0] * n for _ in range(6))

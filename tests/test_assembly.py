@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 import sympy
 
-from oracles import assemble_rows, matvec_rows
+from oracles import (CoefficientSample, assemble_interior_row, assemble_rows,
+                     band_pattern_errors, matvec_rows)
 from radialheat import (LayerSpec, MaterialDomainError, MaterialModel, Polynomial,
-                        RadialMesh, StencilError, CoefficientSample,
-                        assemble_contact_row, assemble_interior_row,
+                        RadialMesh, StencilError, assemble_contact_row,
                         assemble_neumann_rows, assemble_system, build_mesh,
                         contact_conductivities)
 from radialheat.bench import default_layers, make_random_system
@@ -41,8 +41,11 @@ CONST_MATERIALS = {
 
 def test_interior_row_direct_substitution():
     mesh = uniform_mesh()
-    s = CoefficientSample(1.0, 1.0, 1.0, 0.0)
-    c_lo, diag, c_hi, rhs = assemble_interior_row(mesh, s, 2, 1.0, 42.0)
+    unit = {"m": MaterialModel(Polynomial((1.0,)), Polynomial((1.0,)),
+                               Polynomial((1.0,)))}
+    system = assemble_system(mesh, unit, [1.0] * mesh.n, [42.0] * mesh.n, 1.0)
+    m = system.matrix
+    c_lo, diag, c_hi, rhs = m.d1m[2], m.d0[2], m.d1p[2], system.rhs[2]
     assert c_lo == pytest.approx(-0.995, abs=1e-15)
     assert c_hi == pytest.approx(-1.005, abs=1e-15)
     assert diag == pytest.approx(3.0, abs=1e-15)
@@ -66,15 +69,6 @@ def test_interior_row_preserves_constants():
     c = 5.5
     c_lo, diag, c_hi, rhs = assemble_interior_row(mesh, s, 2, 0.25, c)
     assert c_lo * c + diag * c + c_hi * c == pytest.approx(rhs, rel=1e-14)
-
-
-def test_interior_row_rejects_contact_and_boundary():
-    mesh = two_layer_unit_mesh()
-    s = CoefficientSample(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(StencilError):
-        assemble_interior_row(mesh, s, 4, 1.0, 0.0)
-    with pytest.raises(StencilError):
-        assemble_interior_row(mesh, s, 0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,7 @@ def test_full_rows_pattern_two_layers():
     u = [1.0] * mesh.n
     system = assemble_system(mesh, CONST_MATERIALS, u, u, 0.5)
     assert system.matrix.full_rows == (0, 4, 8)
-    system.matrix.validate()
+    assert band_pattern_errors(system.matrix) == []
 
 
 def test_single_layer_outer_diagonals_only_at_ends():
@@ -316,6 +310,7 @@ def assert_same_as_rows(system, mesh, materials, u, u_old, tau, extra=None):
         if mesh.is_exact:
             assert band.dtype == object
             assert band.tolist() == list(ref_band)
+            assert list(map(type, band.tolist())) == list(map(type, ref_band))
         else:
             assert band.dtype == np.float64
             assert np.array_equal(band, np.asarray(ref_band, dtype=np.float64))
@@ -370,10 +365,35 @@ def test_graded_mesh_matches_row_oracle_bit_for_bit():
         "b": MaterialModel(Polynomial((0.5,)), Polynomial((1.0, -0.05)),
                            Polynomial((4.0,)), Polynomial((0.0, 1.0))),
     }
-    assert not mesh.uniform_steps_per_layer
     u = [1.0 + 0.1 * np.sin(r) for r in nodes]
     system = assemble_system(mesh, mats, u, u, 0.02)
     assert_same_as_rows(system, mesh, mats, u, u, 0.02)
+
+
+def test_exact_graded_mesh_matches_row_oracle():
+    # ints and Fractions, with steps that vary inside each layer
+    nodes = [1, Fraction(9, 8), Fraction(4, 3), Fraction(3, 2), Fraction(7, 4),
+             2, Fraction(13, 6), Fraction(5, 2), Fraction(8, 3), 3, Fraction(31, 10),
+             Fraction(17, 5), 4]
+    mesh = RadialMesh.from_nodes(nodes, (5,), ("a", "b"))
+    steps = mesh.steps.tolist()
+    assert mesh.is_exact and len(set(steps[:5])) > 1 and len(set(steps[5:])) > 1
+    mats = {
+        "a": MaterialModel(Polynomial((Fraction(1), Fraction(1, 4))), Polynomial((2,)),
+                           Polynomial((1, Fraction(1, 2))), Polynomial((0, 1))),
+        "b": MaterialModel(Polynomial((Fraction(3, 2),)), Polynomial((1,)),
+                           Polynomial((3, Fraction(-1, 7)))),
+    }
+    u = [1 + Fraction(j, 9) for j in range(mesh.n)]
+    u_old = [Fraction(3, 2) - Fraction(j, 13) for j in range(mesh.n)]
+    system = assemble_system(mesh, mats, u, u_old, Fraction(1, 20))
+    assert_same_as_rows(system, mesh, mats, u, u_old, Fraction(1, 20))
+    # every assembled entry is a Fraction; only unassembled slots hold int 0
+    m = system.matrix
+    assert all(type(v) is Fraction for v in m.d0.tolist())
+    interior = [i for i in range(1, mesh.n - 1) if i not in mesh.contact_indices]
+    assert all(type(band[i]) is Fraction
+               for band in (m.d1m, m.d1p, system.rhs) for i in interior)
 
 
 def test_matvec_matches_row_oracle_bit_for_bit():

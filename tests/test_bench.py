@@ -312,6 +312,16 @@ def test_cli_verify_counts(capsys):
     assert "PASS" in out
 
 
+def test_cli_converge(capsys):
+    assert cli_main(["converge", "--levels", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("second-order check: PASS") == 2
+    assert "randomized" not in out
+    with pytest.raises(SystemExit) as info:
+        cli_main(["converge", "--seed", "0"])
+    assert info.value.code == 2
+
+
 def test_cli_simulate(tmp_path, capsys):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(CONFIG_TEXT)

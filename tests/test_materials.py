@@ -1,12 +1,12 @@
-"""Material models and stencil-time coefficient sampling."""
+"""Material models, and the oracle's stencil-time coefficient sampling."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from radialheat import (CoefficientSample, MaterialDomainError, MaterialModel,
-                        Polynomial, sample)
+from oracles import CoefficientSample, sample
+from radialheat import MaterialDomainError, MaterialModel, Polynomial
 
 
 def make_model(conductivity, valid_range=None):
@@ -63,7 +63,7 @@ def test_nonpositive_coefficient_rejected():
     bad_rho = MaterialModel(rho=Polynomial((-1.0,)), cv=Polynomial((1.0,)),
                             conductivity=Polynomial((1.0,)))
     with pytest.raises(MaterialDomainError):
-        bad_rho.rho_c(0.0)
+        sample(bad_rho, 0.0, 0.0, 0.0)
 
 
 def test_exact_sampling_with_fractions():

@@ -1,4 +1,4 @@
-"""Mesh construction, geometry and validation."""
+"""Mesh construction, steps and validation."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from radialheat import (LayerSpec, MeshDomainError, MeshSpacingError,
-                        MeshStructureError, RadialMesh, build_mesh, geometry)
+                        MeshStructureError, RadialMesh, build_mesh)
 
 from oracles import mesh_nodes_rows
 
@@ -44,28 +44,6 @@ def test_twelve_layers_has_eleven_contacts():
     # every interface radius appears exactly once, at a contact index
     for j, i_star in enumerate(mesh.contact_indices, start=1):
         assert mesh.nodes[i_star] == 1 + Fraction(j, 12)
-
-
-def test_geometry_uniform():
-    mesh = RadialMesh.from_nodes([98.0, 99.0, 100.0, 101.0, 102.0], (), ("m",))
-    assert geometry(mesh, 2) == (1.0, 99.5, 100.5)
-
-
-def test_geometry_mixed_steps():
-    # h_i = 0.25, h_{i+1} = 0.5 -> mean step 0.375 (recomputed by hand)
-    mesh = two_layer_mesh()
-    hbar, r_lo, r_hi = geometry(mesh, 4)
-    assert hbar == 0.375
-    assert r_lo == 1.875
-    assert r_hi == 2.25
-
-
-def test_geometry_rejects_boundary():
-    mesh = two_layer_mesh()
-    with pytest.raises(IndexError):
-        geometry(mesh, 0)
-    with pytest.raises(IndexError):
-        geometry(mesh, mesh.n - 1)
 
 
 def test_steps_sum_to_domain_width():
@@ -141,16 +119,9 @@ def test_exact_mesh_from_fractions():
                        LayerSpec(Fraction(2), Fraction(3), "b", 4)])
     assert mesh.is_exact
     assert mesh.nodes[1] == Fraction(5, 4)
-    hbar, r_lo, r_hi = geometry(mesh, 4)
-    assert isinstance(hbar, Fraction) and hbar == Fraction(1, 4)
-
-
-def test_uniform_steps_flag():
-    mesh = two_layer_mesh()
-    assert mesh.uniform_steps_per_layer
-    graded = RadialMesh.from_nodes([1.0, 1.1, 1.35, 1.5, 1.8, 2.0, 2.2], (),
-                                   ("a",))
-    assert not graded.uniform_steps_per_layer
+    steps = mesh.steps.tolist()
+    assert all(type(h) is Fraction for h in steps)
+    assert steps == [Fraction(1, 4)] * 8
 
 
 @pytest.mark.parametrize("layers", [
