@@ -19,9 +19,8 @@ from .conditioning import (ReductionBreakdownError, ShiftDiag, build_pd_shift,
                            build_td_shift, pd_to_td, weakly_dominant_rows)
 from .band_solvers import (SOLVERS, BreakdownError, SolveReport,
                            solve_pd_lu, solve_pd_modified, solve_td_thomas)
-from .exact_solvers import (DeferredScalar, ExactInputError,
-                            SingularMatrixError, exact_solve_pd,
-                            exact_solve_td)
+from .exact_solvers import (ExactInputError, SingularMatrixError,
+                            exact_solve_pd, exact_solve_td)
 from .time_stepper import (NonConvergenceError, StepConfig, TemperatureField,
                            advance, run)
 from .bench import (BenchRow, BenchScenario, ConvergenceReport,

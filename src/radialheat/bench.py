@@ -592,15 +592,8 @@ def convergence_study(layers, materials, solution: ManufacturedSolution,
             pair_orders.append(float("nan"))
     monotone = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
     observed = None
-    if all(e > 0 for e in errors):
-        logs_h = [math.log(h) for h in h_values]
-        logs_e = [math.log(e) for e in errors]
-        mean_h = sum(logs_h) / len(logs_h)
-        mean_e = sum(logs_e) / len(logs_e)
-        denom = sum((lh - mean_h) ** 2 for lh in logs_h)
-        if denom > 0:
-            observed = sum((lh - mean_h) * (le - mean_e)
-                           for lh, le in zip(logs_h, logs_e)) / denom
+    if all(e > 0 for e in errors) and len(set(h_values)) > 1:
+        observed = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
     return ConvergenceReport(solution.description, h_values, errors,
                              pair_orders, observed, monotone)
 

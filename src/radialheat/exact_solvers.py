@@ -33,16 +33,19 @@ eps = 0 that survives cancellation means the matrix itself is singular.
 Singular systems always take this path, since a singular A has a zero
 pivot modulo every prime.
 
-Accepted scalars are ints and fractions.Fraction; floats are rejected.
-DeferredScalar keeps its numerator/denominator polynomials coprime and the
-denominator monic after every operation, which bounds degree growth through
-the recurrences.  Their coefficients are Fractions, so no division in the
-polynomial arithmetic can leave the rationals.
+Accepted scalars are ints and fractions.Fraction; floats are rejected
+before any kernel runs.  The rational functions of eps are the elements of
+sympy's field Q(eps), which cancels the gcd of numerator and denominator
+after every operation, so degrees stay bounded through the recurrences and
+a pole at eps = 0 is read off the denominator's constant term.  sympy is
+imported at the first zero pivot, not with this module: the modular solves
+never load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -60,199 +63,18 @@ class ExactInputError(TypeError):
     """Exact solvers were handed floating-point data."""
 
 
-# ---------------------------------------------------------------------------
-# polynomials in eps, coefficients Fractions
-# ---------------------------------------------------------------------------
-
-_ZERO_POLY = (Fraction(0),)
-_ONE_POLY = (Fraction(1),)
-
-
-def _ptrim(coeffs):
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return _ptrim(out)
-
-
-def _pneg(p):
-    return tuple(-c for c in p)
-
-def _pis_zero(p):
-    return len(p) == 1 and p[0] == 0
-
-
-def _pmul(p, q):
-    if _pis_zero(p) or _pis_zero(q):
-        return _ZERO_POLY
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _ptrim(out)
-
-
-def _pdivmod(p, q):
-    """Polynomial division over the coefficient field."""
-    if _pis_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    if len(rem) - 1 < dq:
-        return _ZERO_POLY, _ptrim(rem)
-    quot = [0] * (len(rem) - dq)
-    for k in range(len(rem) - 1, dq - 1, -1):
-        coeff = rem[k]
-        if coeff == 0:
-            continue
-        factor = coeff / lead
-        quot[k - dq] = factor
-        for j in range(dq + 1):
-            rem[k - dq + j] = rem[k - dq + j] - factor * q[j]
-    return _ptrim(quot), _ptrim(rem)
-
-
-def _pgcd(p, q):
-    """Monic polynomial gcd (Euclid over the coefficient field)."""
-    a, b = p, q
-    while not _pis_zero(b):
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if _pis_zero(a):
-        return _ZERO_POLY
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-class DeferredScalar:
-    """Rational function of the formal parameter eps.
-
-    Canonical form: numerator and denominator share no polynomial factor and
-    the denominator is monic.  finalize() returns the limit at eps = 0.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=_ONE_POLY, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
-        num = _ptrim(num)
-        den = _ptrim(den)
-        if _pis_zero(den):
-            raise ZeroDivisionError("DeferredScalar with zero denominator")
-        if _pis_zero(num):
-            self.num = _ZERO_POLY
-            self.den = _ONE_POLY
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        self.num = num
-        self.den = den
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def epsilon(cls) -> "DeferredScalar":
-        """The formal parameter itself (the deferred 'symbolic zero')."""
-        return cls((Fraction(0), Fraction(1)), _ONE_POLY, _canonical=True)
-
-    @classmethod
-    def _coerce(cls, value):
-        if isinstance(value, DeferredScalar):
-            return value
-        if isinstance(value, float):
-            raise ExactInputError("cannot mix floats into an exact solve")
-        if isinstance(value, (int, np.integer)):
-            value = Fraction(int(value))
-        return cls((value,), _ONE_POLY, _canonical=True)
-
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return _pis_zero(self.num)
-
-    def finalize(self):
-        """Limit at eps = 0.  Raises SingularMatrixError on a pole."""
-        den0 = self.den[0]
-        if den0 == 0:
-            raise SingularMatrixError(
-                "pole at eps = 0: the matrix is singular")
-        return self.num[0] / den0
-
-    # -- field arithmetic --------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return DeferredScalar(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DeferredScalar(_pneg(self.num), self.den, _canonical=True)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return DeferredScalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero:
-            raise ZeroDivisionError("division by exact zero")
-        return DeferredScalar(_pmul(self.num, o.den), _pmul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __eq__(self, other):
-        if isinstance(other, DeferredScalar):
-            return self.num == other.num and self.den == other.den
-        if self.den == _ONE_POLY and len(self.num) == 1:
-            return self.num[0] == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"DeferredScalar(num={self.num!r}, den={self.den!r})"
-
-
-def _finalize(value):
-    if isinstance(value, DeferredScalar):
-        return value.finalize()
-    return value
+def _finalize(value) -> Fraction:
+    """The limit at eps = 0 of a solution component: a Fraction unchanged, a
+    rational function of eps as the Fraction of its constant terms.  The
+    field keeps numerator and denominator coprime, so a denominator that
+    vanishes at eps = 0 is a pole, and the matrix is singular."""
+    if isinstance(value, Fraction):
+        return value
+    den0 = value.denom.coeff(1)
+    if den0 == 0:
+        raise SingularMatrixError("pole at eps = 0: the matrix is singular")
+    q = value.numer.coeff(1) / den0
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def _exact_list(arr, what: str) -> list:
@@ -274,9 +96,18 @@ def _exact_list(arr, what: str) -> list:
     return out
 
 
-def _defer(row: int) -> DeferredScalar:
+@cache
+def _eps():
+    """The generator eps of the field Q(eps).  sympy is imported here, at
+    the first zero pivot, so the modular solves never load it."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+    return field("eps", QQ)[1]
+
+
+def _defer(row: int):
     """Exact pivot policy: a zero pivot becomes the formal eps."""
-    return DeferredScalar.epsilon()
+    return _eps()
 
 
 def _fraction_factors(kernel: Kernel, inputs: list):

@@ -1,6 +1,10 @@
 """Exact solvers, the deferred-eps mechanism and rational-function scalars."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +12,14 @@ from sympy import isprime
 
 from oracles import (bareiss_solve, exact_dense_rows, fraction_det,
                      fraction_kernel_solve, pivoted_fraction_solve)
-from radialheat import (BreakdownError, DeferredScalar, ExactInputError,
-                        LinearSystem, PentaMatrix, SingularMatrixError,
+import radialheat
+from radialheat import (BreakdownError, ExactInputError, LinearSystem, PentaMatrix, SingularMatrixError,
                         TriMatrix, build_bench_case, exact_solve_pd,
                         exact_solve_td, exact_solvers, pd_to_td, solve_pd_lu,
                         solve_td_thomas)
 from radialheat.band_solvers import LU, THOMAS
 from radialheat.bench import make_random_system
+from radialheat.exact_solvers import _defer, _finalize
 
 
 def frac_array(values):
@@ -27,41 +32,43 @@ def tri(sub, diag, sup, rhs):
 
 
 # ---------------------------------------------------------------------------
-# DeferredScalar
+# deferred scalars: rational functions of eps and their limit at eps = 0
 # ---------------------------------------------------------------------------
 
 def test_deferred_scalar_canonical_form():
-    eps = DeferredScalar.epsilon()
+    eps = _defer(0)
     v = (eps * eps - 1) / (eps - 1)  # cancels to eps + 1
-    assert v.num == (Fraction(1), Fraction(1))
-    assert v.den == (Fraction(1),)
-    assert v.finalize() == 1
+    assert v == eps + 1
+    assert v.denom == 1
+    assert _finalize(v) == 1
+    assert type(_finalize(v)) is Fraction
 
 
 def test_deferred_scalar_limit_cancels_singular_intermediates():
-    eps = DeferredScalar.epsilon()
+    eps = _defer(0)
     v = 1 / eps
     w = (v * 3 + 5) / (v + 1)  # (3 + 5 eps)/(1 + eps) -> 3
-    assert w.finalize() == 3
+    assert _finalize(w) == 3
 
 
 def test_deferred_scalar_pole_raises():
-    eps = DeferredScalar.epsilon()
+    eps = _defer(0)
     with pytest.raises(SingularMatrixError):
-        (1 / eps).finalize()
+        _finalize(1 / eps)
+    with pytest.raises(SingularMatrixError):
+        _finalize((eps + 1) / (eps * eps - eps))  # pole after cancellation
 
 
 def test_deferred_scalar_mixed_arithmetic_with_fractions():
-    eps = DeferredScalar.epsilon()
+    eps = _defer(0)
     v = Fraction(1, 2) + eps
-    assert (v - eps).finalize() == Fraction(1, 2)
-    assert (Fraction(3) * eps / eps).finalize() == 3
-    assert (Fraction(2) / (eps + 1)).finalize() == 2
-
-
-def test_deferred_scalar_rejects_floats():
-    with pytest.raises(ExactInputError):
-        DeferredScalar.epsilon() + 0.5
+    assert _finalize(v - eps) == Fraction(1, 2)
+    assert _finalize(Fraction(3) * eps / eps) == 3
+    assert _finalize(Fraction(2) / (eps + 1)) == 2
+    assert _finalize(Fraction(5, 3)) == Fraction(5, 3)
+    x = _finalize((Fraction(-7, 6) * eps + Fraction(4, 9)) / (eps + 3))
+    assert x == Fraction(4, 27)
+    assert type(x.numerator) is int and type(x.denominator) is int
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +100,16 @@ def test_exact_pd_residual_exactly_zero():
     assert all(v == 0 for v in res.tolist())
 
 
-def test_exact_pd_rejects_float_input():
+@pytest.mark.parametrize("solve, kind", [(exact_solve_pd, "pd"),
+                                         (exact_solve_td, "td")],
+                         ids=["SPDM", "STDM"])
+def test_exact_pd_rejects_float_input(solve, kind):
+    # floats are turned away before any kernel runs, so none reaches the
+    # eps field, which would take it as a rational
     rng = np.random.default_rng(15)
-    system = make_random_system(8, 0, rng)  # float system
+    system = make_random_system(8, 0, rng, kind=kind)  # float system
     with pytest.raises(ExactInputError):
-        exact_solve_pd(system)
+        solve(system)
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +360,44 @@ def test_exact_bench_case_is_solved_without_a_fraction_sweep(fallbacks):
     assert exact_solve_pd(case.pd_system) == case.y_bar.tolist()
     assert exact_solve_td(case.td_system) == case.y_bar.tolist()
     assert fallbacks == []
+
+
+@pytest.mark.parametrize("kind", ["pd", "td"])
+def test_zero_first_pivot_carries_eps_through_every_later_pivot(fallbacks,
+                                                                kind):
+    # with the first pivot deferred to eps, every later pivot of the sweep is
+    # a rational function of eps, and the limit is still the exact answer
+    case = build_bench_case(200, 3, 0, exact=True)
+    system = case.pd_system if kind == "pd" else case.td_system
+    system.matrix.main[0] = Fraction(0)
+    kernel = LU if kind == "pd" else THOMAS
+    solve = exact_solve_pd if kind == "pd" else exact_solve_td
+    x = solve(system)
+    assert fallbacks == [kernel.name]
+    assert all(type(v) is Fraction for v in x)
+    res = system.matrix.matvec(np.array(x, dtype=object)) - system.rhs
+    assert all(v == 0 for v in res.tolist())
+    inputs = [band.tolist() for band in system.matrix.bands()]
+    pivots = exact_solvers._fraction_factors(kernel, inputs)[2]
+    assert not any(isinstance(p, Fraction) for p in pivots)
+
+
+def test_sympy_is_imported_only_at_a_zero_pivot():
+    # the modular solves run without sympy, which a zero pivot brings in
+    script = """
+import sys
+from fractions import Fraction
+from radialheat import build_bench_case, exact_solve_pd, exact_solve_td
+case = build_bench_case(200, 3, 0, exact=True)
+assert exact_solve_pd(case.pd_system) == case.y_bar.tolist()
+assert exact_solve_td(case.td_system) == case.y_bar.tolist()
+print(any(name.partition(".")[0] == "sympy" for name in sys.modules))
+case.td_system.matrix.main[0] = Fraction(0)
+exact_solve_td(case.td_system)
+print("sympy" in sys.modules)
+"""
+    src = str(Path(radialheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "True"]
