@@ -33,7 +33,8 @@ SOLVERS is the one table of solver ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import import_module
 from typing import Callable, NamedTuple
 
@@ -59,12 +60,17 @@ class SolveReport:
 
     residual_inf is measured against the system actually handed to the
     solver (the shifted system, when a dominance shift was applied upstream).
+    It costs a matvec, so it is computed on first read.
     """
 
     solution: np.ndarray
     op_count: int
-    residual_inf: object
     solver_id: str
+    system: LinearSystem = field(repr=False)
+
+    @cached_property
+    def residual_inf(self) -> object:
+        return sup_norm(self.system.residual(self.solution))
 
 
 def sup_norm(v: np.ndarray) -> object:
@@ -301,8 +307,7 @@ def _float_solve(system: LinearSystem, solver_id: str) -> SolveReport:
     kernel = SOLVERS[solver_id].kernel
     m = system.matrix
     x = _field(factorize(m, kernel)(system.rhs), system.rhs.dtype == object)
-    return SolveReport(x, op_count(kernel, m),
-                       sup_norm(system.residual(x)), solver_id)
+    return SolveReport(x, op_count(kernel, m), solver_id, system)
 
 
 def solve_pd_lu(system: LinearSystem) -> SolveReport:

@@ -32,8 +32,17 @@ runs over the rationals.
 
 The converged limit is independent of the shift mode.  Iteration stops when
 the sup-norm update is at most picard_tol times the sup norm of the new
-iterate; an update of exactly zero is always accepted.  The accepted iterate
-is always a Picard image, never a mixed one.
+iterate; an update of exactly zero is always accepted.  The unmixed modes
+("none" and "corrected") also stop on the contraction estimate of Hairer &
+Wanner (Solving ODEs II, sec. IV.8): with theta = ||d_k|| / ||d_{k-1}|| the
+ratio of the last two updates, the error of the new iterate is about
+theta / (1 - theta) ||d_k||, and the step stops once theta < 1 and that is
+at most picard_tol times the iterate's norm.  The update test alone bounds
+the error of the previous iterate, so it costs one pass more and can stall
+on a rounding floor.  The Anderson-mixed "pd" and "td" modes keep the update
+test alone: the ratio of their mixed updates is not the Picard map's
+contraction.  The accepted iterate is always a Picard image, never a mixed
+one.
 
 Constant-coefficient problems (every material of the mesh's layers with
 constant rho, cv, conductivity and temperature-independent source) make the
@@ -63,17 +72,20 @@ class NonConvergenceError(RuntimeError):
     """Picard iteration hit its cap.
 
     Carries what the stop test saw at the last pass: last_diff, the sup-norm
-    update; relative, that update over the sup norm of the new iterate; and
-    tol, the picard_tol that relative had to reach.
+    update; relative, that update over the sup norm of the new iterate; tol,
+    the picard_tol that relative had to reach; and rate, the contraction
+    estimate ||d_k|| / ||d_{k-1}|| of the last two updates, None after a
+    single pass.
     """
 
-    def __init__(self, last_diff, relative, tol, max_picard: int):
+    def __init__(self, last_diff, relative, tol, max_picard: int, rate=None):
         super().__init__(
             f"last relative update {float(relative):.2g} > picard_tol "
             f"{float(tol):g} after {max_picard} passes")
         self.last_diff = last_diff
         self.relative = relative
         self.tol = tol
+        self.rate = rate
 
 
 @dataclass(frozen=True)
@@ -89,7 +101,10 @@ class StepConfig:
     "none" and "corrected", both one exact solve.
 
     picard_tol is relative: a step has converged once the sup-norm update is
-    at most picard_tol times the sup norm of the new iterate.
+    at most picard_tol times the sup norm of the new iterate, or, in the
+    "none" and "corrected" modes, once theta / (1 - theta) times it is, theta
+    the ratio of the last two updates (Hairer & Wanner's contraction
+    estimate; see the module docstring).
     """
 
     tau: object
@@ -270,13 +285,17 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
 
     Iterates u^(k+1) = solve(A(u^k), rhs(u^k)) from u^(0) = u_old, where the
     "pd" and "td" modes solve the shifted fixed point (A + P) u = rhs + P u^k
-    instead, until the sup-norm update is at most cfg.picard_tol times the
-    sup norm of u^(k+1).  Those two modes step to the Anderson mix of the
-    last K + 2 + _ANDERSON_MARGIN updates, K the mesh's contact count, and
-    at most cfg.max_picard; the stop test is the same, so the accepted field
-    is still a Picard image.  Raises NonConvergenceError after
-    cfg.max_picard passes without meeting the stop test.  On an exact mesh
-    it raises ValueError, before assembling, unless the solver is exact and
+    instead, until the sup-norm update d_k = u^(k+1) - u^(k) is at most
+    cfg.picard_tol times the sup norm of u^(k+1).  From the second pass on,
+    "none" and "corrected" also stop once theta = ||d_k|| / ||d_{k-1}||
+    gives theta ||d_k|| <= (1 - theta) cfg.picard_tol ||u^(k+1)||, the
+    contraction estimate of Hairer & Wanner (Solving ODEs II, sec. IV.8),
+    which holds only for theta < 1.  "pd" and "td" step to the Anderson mix
+    of the last K + 2 + _ANDERSON_MARGIN updates, K the mesh's contact
+    count, and at most cfg.max_picard, and stop on the update test alone;
+    every mode accepts a Picard image.  Raises NonConvergenceError after
+    cfg.max_picard passes without meeting a stop test.  On an exact mesh it
+    raises ValueError, before assembling, unless the solver is exact and
     every layer's material has constant coefficients.
 
     extra_source is a length-N vector added to the interior right-hand sides
@@ -301,6 +320,7 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
         depth = mesh.k + 2 + _ANDERSON_MARGIN
         mixer = _Anderson(min(depth, cfg.max_picard), mesh.n)
 
+    last_diff = None
     for k in range(1, cfg.max_picard + 1):
         u_next = _picard_pass(mesh, materials, u_iter, u_prev, cfg, extra_source)
         if nonlinear is None and cfg.shift_mode in ("none", "corrected"):
@@ -308,16 +328,22 @@ def advance(mesh: RadialMesh, materials: Mapping[str, MaterialModel],
             return TemperatureField(u_next, u_old.time + cfg.tau), k
         update = u_next - u_iter
         diff, norm = sup_norm(update), sup_norm(u_next)
+        tol = cfg.picard_tol * norm
+        rate = diff / last_diff if last_diff else None
         # relative stop; <= also accepts an exactly zero update at u = 0,
-        # and a NaN update is never accepted.  Only a Picard image u_next is
-        # ever accepted, so mixing can cost passes but not accuracy.
-        if diff <= cfg.picard_tol * norm:
+        # and a NaN update is never accepted.  The estimate's (1 - rate)
+        # refuses any rate >= 1.  Only a Picard image u_next is ever
+        # accepted, so mixing can cost passes but not accuracy.
+        if diff <= tol or (mixer is None and rate is not None
+                           and rate * diff <= (1 - rate) * tol):
             return TemperatureField(u_next, u_old.time + cfg.tau), k
+        last_diff = diff
         u_iter = u_next if mixer is None else mixer.mix(update, u_next)
 
     mixer = None  # a kept traceback holds this frame, not the mixing history
     relative = diff / norm if norm else float("inf")
-    raise NonConvergenceError(diff, relative, cfg.picard_tol, cfg.max_picard)
+    raise NonConvergenceError(diff, relative, cfg.picard_tol, cfg.max_picard,
+                              rate)
 
 
 def run(mesh: RadialMesh, materials: Mapping[str, MaterialModel],

@@ -151,6 +151,7 @@ def test_max_picard_exceeded_raises():
             advance(mesh, LINEAR_MATERIALS, u0, cfg)
         assert err.value.last_diff > 0
         assert err.value.relative > err.value.tol == 1e-12
+        assert err.value.rate > 0
         assert str(err.value) == (
             f"last relative update {err.value.relative:.2g} > picard_tol "
             f"1e-12 after {max_picard} passes")
@@ -301,6 +302,36 @@ def test_plain_fixed_point_iteration_pattern():
         tau=factor * h2, solver_id=solver, shift_mode=mode))[1]
         for mode, solver in FIXED_POINT_MODES for factor in TAU_OVER_H2]
     assert pattern == [24, 49, None, None, None, 42, None, None]
+
+
+def test_unmixed_steps_stop_on_the_contraction_estimate():
+    # the benchmark's transient step at N = 1e3: the updates fall about 1e-3
+    # per pass, so the update test alone takes a 4th pass to confirm the 3rd
+    mesh, u0, _ = shifted_cylinder(1000, 11)
+    reference, _ = _plain_picard(mesh, CYLINDER_MATERIALS, u0, StepConfig(
+        tau=1e-3, picard_tol=1e-13, solver_id="NPDM", shift_mode="none"))
+    scale = np.max(np.abs(reference))
+    for mode, solver in (("none", "NTDM"), ("corrected", "NPDM"),
+                         ("corrected", "MNPDM"), ("corrected", "NTDM")):
+        field, passes = advance(mesh, CYLINDER_MATERIALS, u0, StepConfig(
+            tau=1e-3, picard_tol=1e-10, solver_id=solver, shift_mode=mode))
+        assert passes <= 3
+        assert np.max(np.abs(field.values - reference)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("mode", ["none", "corrected"])
+def test_contraction_estimate_needs_two_passes(mode):
+    mesh = two_layer_mesh()
+    u0 = bumpy_field(mesh, amp=0.3)
+    cfg = StepConfig(tau=0.1, picard_tol=1e-6, max_picard=1, solver_id="NTDM",
+                     shift_mode=mode)
+    with pytest.raises(NonConvergenceError) as err:
+        advance(mesh, NONLINEAR_MATERIALS, u0, cfg)
+    assert err.value.rate is None
+    # the same step converges once a second pass gives the estimate
+    _, passes = advance(mesh, NONLINEAR_MATERIALS, u0, StepConfig(
+        tau=0.1, picard_tol=1e-6, solver_id="NTDM", shift_mode=mode))
+    assert passes >= 2
 
 
 @pytest.mark.parametrize("mode, solver", [("pd", "MNPDM"), ("corrected", "NPDM")])
