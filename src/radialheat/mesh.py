@@ -79,10 +79,6 @@ class LayerSpec:
                 f"got [{self.r_start}, {self.r_end}]"
             )
 
-    @property
-    def width(self):
-        return self.r_end - self.r_start
-
 
 @dataclass(frozen=True, eq=False)
 class RadialMesh:
@@ -157,10 +153,6 @@ class RadialMesh:
         return self.nodes[0]
 
     @property
-    def r_max(self):
-        return self.nodes[-1]
-
-    @property
     def is_exact(self) -> bool:
         """True when nodes are stored as exact rationals."""
         return self.nodes.dtype == object
@@ -180,11 +172,12 @@ class RadialMesh:
 def build_mesh(layers: Sequence[LayerSpec]) -> RadialMesh:
     """Subdivide each layer uniformly and join the pieces into one mesh.
 
-    A layer's nodes are r_start + j*h for j < cells, h = width / cells; the
-    next layer's r_start or the last r_end closes it, so every interface is
-    a node, recorded as a contact index, and each layer's material_id is
-    its entry of layer_materials.  Requires contiguous layers, >=
-    MIN_CELLS_PER_LAYER cells per layer and at least 7 nodes overall.
+    A layer's nodes are r_start + j*h for j < cells, with
+    h = (r_end - r_start) / cells; the next layer's r_start or the last
+    r_end closes it, so every interface is a node, recorded as a contact
+    index, and each layer's material_id is its entry of layer_materials.
+    Requires contiguous layers, >= MIN_CELLS_PER_LAYER cells per layer and
+    at least 7 nodes overall.
 
     Raises MeshStructureError for non-contiguous layers, MeshDomainError for
     r_min <= 0 and MeshSpacingError when interface stencils would overlap.

@@ -21,9 +21,9 @@ current iterate.  Four shift modes decide how that system is solved:
   M = A + P the dominant, pivot-free matrix and P diagonal and nonzero on a
   few rows only, so the Sherman-Morrison-Woodbury (capacitance matrix)
   formula needs one solve with M per nonzero row of P plus one for the
-  right-hand side, and a small dense solve.  M is factored once and each
-  of those solves reuses its factors.  Picard then iterates only on the
-  nonlinear coefficients.
+  right-hand side, and one LAPACK solve of the |R| x |R| capacitance matrix,
+  R those rows.  M is factored once and each of those solves reuses its
+  factors.  Picard then iterates only on the nonlinear coefficients.
 
 The exact solvers (SPDM, STDM) need no dominance: they take "none" and
 "corrected", both one exact solve of the unshifted system.  An exact mesh
@@ -145,68 +145,31 @@ class TemperatureField:
     def __post_init__(self):
         self.values = np.asarray(self.values)
 
-    def copy(self) -> "TemperatureField":
-        return TemperatureField(self.values.copy(), self.time)
-
-
-def _dense_solve(matrix: list[list], rhs: list) -> list:
-    """Gaussian elimination with partial pivoting on a small dense system.
-
-    Works over any field the entries support (float or Fraction): the pivot
-    is the entry of largest magnitude, which is merely the first nonzero one
-    in exact arithmetic.
-    """
-    n = len(rhs)
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise SingularMatrixError("singular capacitance matrix: the "
-                                      "unshifted system is singular")
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(col + 1, n):
-            m = a[r][col] / a[col][col]
-            if m != 0:
-                for c in range(col, n + 1):
-                    a[r][c] = a[r][c] - m * a[col][c]
-    x = [0] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n]
-        for c in range(r + 1, n):
-            acc = acc - a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
-
 
 def _corrected_solve(system: LinearSystem, shift: ShiftDiag, solver: Solver):
     """Solve the unshifted system A u = rhs through the dominant M = A + P.
 
-    With R the rows where P is nonzero, y = M^-1 rhs and z_j = M^-1 e_j for
-    j in R, the capacitance matrix is C = diag(1/P_R) - Z[R, :] and
-    u = y + Z C^-1 y[R] (Sherman-Morrison-Woodbury).  M is factored once;
-    y and every z_j are back-solves with its factors.
+    With R the rows where P is nonzero, y = M^-1 rhs and Z the |R| x N array
+    whose rows are z_j = M^-1 e_j for j in R, the capacitance matrix is
+    C = diag(1/P_R) - Z[:, R]^T and u = y + (C^-1 y[R]) Z
+    (Sherman-Morrison-Woodbury).  M is factored once; y and every z_j are
+    back-solves with its factors, and C^-1 y[R] is one LAPACK solve of the
+    |R| x |R| capacitance matrix.
     """
     back_solve = band_solvers.factorize(shift.apply(system.matrix),
                                         solver.kernel)
     y = np.array(back_solve(system.rhs))
-    entries = shift.entries.tolist()
-    rows = [i for i, p in enumerate(entries) if p != 0]
-    if not rows:
+    rows = np.flatnonzero(shift.entries)
+    if not rows.size:
         return y
-    zero = system.rhs * 0
-    columns = []
-    for j in rows:
-        unit = zero.copy()
-        unit[j] = 1
-        columns.append(np.array(back_solve(unit)))
-    capacitance = [[-z[i] for z in columns] for i in rows]
-    for a, i in enumerate(rows):
-        capacitance[a][a] = capacitance[a][a] + 1 / entries[i]
-    weights = _dense_solve(capacitance, [y[i] for i in rows])
-    u = y
-    for w, z in zip(weights, columns):
-        u = u + w * z
-    return u
+    z = np.array([back_solve(np.eye(1, len(y), j)[0]) for j in rows])
+    capacitance = np.diag(1 / shift.entries[rows]) - z[:, rows].T
+    try:
+        weights = np.linalg.solve(capacitance, y[rows])
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular capacitance matrix: the "
+                                  "unshifted system is singular") from None
+    return y + weights @ z
 
 
 # Past updates Anderson mixing keeps beyond the K + 2 shifted rows, for the

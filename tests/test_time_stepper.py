@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import column_woodbury_solve
+from oracles import column_woodbury_solve, dense_solve, rel_inf_err
 from radialheat import (SOLVERS, LayerSpec, LinearSystem, MaterialModel,
-                        NonConvergenceError, Polynomial, StepConfig,
-                        TemperatureField, advance, assemble_system,
-                        build_mesh, build_pd_shift, build_td_shift,
-                        pd_to_td, run)
-from radialheat import assembly, band_solvers, exact_solvers, time_stepper
+                        NonConvergenceError, Polynomial, ShiftDiag,
+                        SingularMatrixError, StepConfig, TemperatureField,
+                        TriMatrix, advance, assemble_system, build_mesh,
+                        build_pd_shift, build_td_shift, pd_to_td, run)
+from radialheat import (assembly, band_solvers, cli, exact_solvers,
+                        time_stepper)
 from radialheat.bench import constructed_profile, default_layers
 
 LINEAR_MATERIALS = {
@@ -46,6 +47,15 @@ def shifted_cylinder(n=200, k=3):
     rise = constructed_profile(mesh, 1) - 1
     u0 = TemperatureField(1 + 0.15625 * rise / rise.max(), 0.0)
     return mesh, u0, float(min(mesh.steps)) ** 2
+
+
+def family_shift(system, solver):
+    """The system the corrected mode solves for solver, reduced for a
+    tridiagonal one, and the shift of the solver family's fixed-point mode."""
+    if SOLVERS[solver].kernel.shape == "td":
+        system = pd_to_td(system)
+        return system, build_td_shift(system.matrix)
+    return system, build_pd_shift(system.matrix)
 
 
 def two_layer_mesh():
@@ -237,12 +247,8 @@ def test_corrected_pass_factors_once_and_matches_column_solves(monkeypatch,
                                                                solver):
     mesh = two_layer_mesh()
     u = bumpy_field(mesh, amp=0.3).values
-    system = assemble_system(mesh, NONLINEAR_MATERIALS, u, u, 0.1)
-    if SOLVERS[solver].kernel.shape == "td":
-        system = pd_to_td(system)
-        shift = build_td_shift(system.matrix)
-    else:
-        shift = build_pd_shift(system.matrix)
+    system, shift = family_shift(
+        assemble_system(mesh, NONLINEAR_MATERIALS, u, u, 0.1), solver)
     calls = []
     factorize = band_solvers.factorize
 
@@ -255,6 +261,35 @@ def test_corrected_pass_factors_once_and_matches_column_solves(monkeypatch,
     assert len(calls) == 1
     assert np.count_nonzero(shift.entries) >= 3
     assert np.array_equal(x, column_woodbury_solve(system, shift, solver))
+
+
+@pytest.mark.parametrize("solver", ["NPDM", "MNPDM", "NTDM"])
+def test_corrected_solve_matches_the_dense_oracle(solver):
+    # the benchmark's N = 1e3 cylinder, whose row scales span 1e12: only the
+    # row-equilibrated LAPACK oracle resolves its solution to 1e-12
+    mesh, u0, _ = shifted_cylinder(1000, 11)
+    system = assemble_system(mesh, CYLINDER_MATERIALS, u0.values, u0.values,
+                             1e-3)
+    reduced, shift = family_shift(system, solver)
+    x = time_stepper._corrected_solve(reduced, shift, SOLVERS[solver])
+    assert rel_inf_err(x, dense_solve(system)) <= 1e-12
+
+
+def test_singular_capacitance_raises_singular_matrix_error():
+    # A = diag(0, 2, ..., 2) is singular though M = A + P = 2 I is not:
+    # the capacitance matrix 1/2 - 1/2 is exactly zero
+    n = 6
+    zero = np.zeros(n)
+    matrix = TriMatrix(zero, np.array([0.0] + [2.0] * (n - 1)), zero.copy())
+    shift = ShiftDiag(np.array([2.0] + [0.0] * (n - 1)), (0,))
+    with pytest.raises(SingularMatrixError) as err:
+        time_stepper._corrected_solve(LinearSystem(matrix, np.ones(n)), shift,
+                                      SOLVERS["NTDM"])
+    assert str(err.value) == ("singular capacitance matrix: the unshifted "
+                              "system is singular")
+    # simulate reports the step errors it knows; LAPACK's must not escape
+    assert not isinstance(err.value, np.linalg.LinAlgError)
+    assert isinstance(err.value, cli._STEP_ERRORS)
 
 
 def test_anderson_converges_every_shifted_step():
@@ -436,8 +471,9 @@ def test_exact_corrected_step_is_one_exact_solve(monkeypatch, solver):
                         counted(entry, getattr(exact_solvers, entry)))
     monkeypatch.setattr(band_solvers, "factorize",
                         counted("factorize", band_solvers.factorize))
-    monkeypatch.setattr(time_stepper, "_dense_solve",
-                        counted("_dense_solve", time_stepper._dense_solve))
+    monkeypatch.setattr(time_stepper, "_corrected_solve",
+                        counted("_corrected_solve",
+                                time_stepper._corrected_solve))
     field, passes = advance(mesh, mats, u0, StepConfig(
         tau=Fraction(1, 10), solver_id=solver, shift_mode="corrected"))
     assert calls == [entry]
