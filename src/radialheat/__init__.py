@@ -16,7 +16,7 @@ from .assembly import (LinearSystem, PentaMatrix, StencilError, TriMatrix,
                        assemble_contact_row, assemble_neumann_rows,
                        assemble_system, contact_conductivities)
 from .conditioning import (ReductionBreakdownError, ShiftDiag, build_pd_shift,
-                           build_td_shift, pd_to_td, weakly_dominant_rows)
+                           build_td_shift, pd_to_td)
 from .band_solvers import (SOLVERS, BreakdownError, SolveReport,
                            solve_pd_lu, solve_pd_modified, solve_td_thomas)
 from .exact_solvers import (ExactInputError, SingularMatrixError,

@@ -20,6 +20,16 @@ their sweeps modulo a prime raise too, and their Fraction fallback defers
 the pivot to a formal eps (exact_solvers).  Exact (object) data handed to a
 float entry point gets zero thresholds too.
 
+The compiled twin.  native.py builds thomas.c, THOMAS written once more in
+C over float64 arrays, on the first float NTDM factorization, and factorize
+sends float64 tridiagonal matrices to it: solve_td_thomas and every float
+THOMAS factorization of time_stepper, back-solves included.  It keeps the
+operation order (inverse pivot, last row divides) and the pivot test above,
+so its solutions and BreakdownError rows are byte-equal to the Python
+kernel's; tests/test_native.py pins that.  The Python kernels stay the
+specification and run everywhere else: exact data, STDM, CountingFloat, LU
+and MODIFIED, and every THOMAS solve when the twin cannot be built.
+
 op_count is a closed form for the +, -, * and / on matrix and vector
 scalars in one factor and one solve: 19N - 29 (LU), 9N - 8 (THOMAS), and
 for MODIFIED 13N - 15 plus a cost per full row, 13N + 7K - 8 for full rows
@@ -40,6 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import native
 from .assembly import LinearSystem, PentaMatrix, TriMatrix, _field
 
 #: Relative pivot threshold separating structural zeros from rounding noise.
@@ -288,19 +299,45 @@ def raise_breakdown(row: int):
     raise BreakdownError(row, f"zero pivot in row {row}")
 
 
+def _thresholds(matrix) -> np.ndarray:
+    """PIVOT_RTOL times the largest |entry| of each row."""
+    return PIVOT_RTOL * np.abs(np.vstack(matrix.bands())).max(axis=0)
+
+
 def _float_inputs(matrix, kernel: Kernel) -> tuple[list, list]:
     inputs = kernel_inputs(matrix, kernel, lambda arr, name: arr.tolist())
     if matrix.is_exact:
         return inputs, [0] * matrix.n
-    rows = np.abs(np.vstack(matrix.bands()))
-    return inputs, (PIVOT_RTOL * rows.max(axis=0)).tolist()
+    return inputs, _thresholds(matrix).tolist()
 
 
-def factorize(matrix, kernel: Kernel) -> Callable[[np.ndarray], list]:
+def _compiled_thomas(matrix) -> Callable[[np.ndarray], np.ndarray] | None:
+    """THOMAS's factorization of a float64 matrix by the compiled twin, or
+    None if the matrix is not float64 or the twin could not be built."""
+    bands = kernel_inputs(matrix, THOMAS,
+                          lambda arr, name: np.ascontiguousarray(arr))
+    if any(band.dtype != np.float64 for band in bands):
+        return None
+    twin = native.thomas_twin().lib
+    if twin is None:
+        return None
+    row, factors = native.factor(twin, *bands, _thresholds(matrix))
+    if row >= 0:
+        raise_breakdown(row)
+    return lambda rhs: native.solve(twin, factors, rhs)
+
+
+def factorize(matrix,
+              kernel: Kernel) -> Callable[[np.ndarray], list | np.ndarray]:
     """Factor matrix once under the float pivot policy; the returned
-    function solves for one right-hand side per call."""
-    factors = kernel.factor(*_float_inputs(matrix, kernel), raise_breakdown)
-    return lambda rhs: kernel.solve(factors, rhs.tolist())
+    function solves for one right-hand side per call.  THOMAS runs its
+    compiled twin on float64 matrices when the twin could be built."""
+    solve = _compiled_thomas(matrix) if kernel is THOMAS else None
+    if solve is None:
+        factors = kernel.factor(*_float_inputs(matrix, kernel),
+                                raise_breakdown)
+        solve = lambda rhs: kernel.solve(factors, rhs.tolist())
+    return solve
 
 
 def _float_solve(system: LinearSystem, solver_id: str) -> SolveReport:

@@ -16,13 +16,10 @@ exact solvers must reproduce y_bar exactly (error 0).
 
 Wall-clock entries are medians over `repetitions` calls of each solver's
 entry point after one discarded warm-up (see bench).  Operation counts are
-the float solvers' closed forms (band_solvers.op_count).  verify_op_counts
-holds them to a count of the kernels' arithmetic: it factors and solves
-each system over CountingFloat, a float that tallies every +, -, * and /.
-The reference operation laws are 19N - 29 (NPDM), 13N + 7K - 14 (MNPDM)
-and 9N + 2 (NTDM).  The counts match the N and K slopes of those laws
-exactly; their constants are -29, -8 and -8 and are reported next to the
-references.
+the float solvers' closed forms (band_solvers.op_count, the one statement
+of the laws 19N - 29, 13N + 7K - 8 and 9N - 8).  verify_op_counts holds
+them to a count of the kernels' arithmetic: it factors and solves each
+system over CountingFloat, a float that tallies every +, -, * and /.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from time import perf_counter
 
 import numpy as np
 
+from . import native
 from .assembly import (LinearSystem, PentaMatrix, TriMatrix, _field,
                        assemble_system)
 from .band_solvers import (SOLVERS, BreakdownError, kernel_inputs,
@@ -57,9 +55,6 @@ HUGE_N = 10**7
 #: Time steps of convergence_study at the coarsest mesh; refinement factor f
 #: takes f^2 times as many.
 STUDY_STEPS = 4
-
-#: Reference complexity laws: (N slope, K slope, constant).
-REFERENCE_LAWS = {"NPDM": (19, 0, -29), "MNPDM": (13, 7, -14), "NTDM": (9, 0, 2)}
 
 #: Alternating-conductivity material pair used by the default benchmark.
 #: Integer coefficients serve the float and the exact assembly paths alike.
@@ -332,23 +327,15 @@ class OpCountCheck:
 @dataclass
 class OpCountReport:
     checks: list[OpCountCheck]
-    constants: dict  # solver -> (measured constant, reference constant)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "ok  " if c.passed else "FAIL"
-            out.append(f"{status} {c.solver:6s} {c.quantity}: expected "
-                       f"{c.expected}, measured {c.measured}")
-        for solver, (measured, reference) in self.constants.items():
-            out.append(f"note {solver}: measured constant {measured:+d} "
-                       f"(reference law constant {reference:+d}; not a pass "
-                       f"condition)")
-        return out
+        return [f"{'ok  ' if c.passed else 'FAIL'} {c.solver:6s} "
+                f"{c.quantity}: expected {c.expected}, measured {c.measured}"
+                for c in self.checks]
 
 
 class CountingFloat(float):
@@ -394,49 +381,26 @@ def verify_op_counts(n_values=(1000, 2000, 4000), k_values=(0, 5, 12),
                      seed: int = 0) -> OpCountReport:
     """Check the reported operation counts against counted ones.
 
-    Every system is solved by the float entry point and also factored and
-    solved over CountingFloat; the reported op_count, a closed form, must
-    equal the tally.  The tallies must follow the N and K slopes of
-    REFERENCE_LAWS: NPDM gains exactly 19 operations per node (and none per
-    contact row), MNPDM 13 per node plus 7 per contact row, NTDM 9 per
-    node.  Measured affine constants are reported next to the references.
+    Every float solver solves one random system at each (N, K), K taking
+    only 0 for the tridiagonal NTDM, by its entry point, and the kernel
+    also factors and solves it over CountingFloat; the reported op_count,
+    band_solvers.op_count's closed form, must equal the tally.
     """
     rng = np.random.default_rng(seed)
-    n_values = tuple(sorted(n_values))
-    k_values = tuple(sorted(k_values))
-    n_fix, k_fix = n_values[-1], k_values[-1]
     checks = []
-    constants = {}
-
-    def counted(solver, n, k):
-        shape = SOLVERS[solver].kernel.shape
-        system = make_random_system(n, k, rng, kind=shape)
-        ops = count_ops(solver, system)
-        reported = SOLVERS[solver].entry_point()(system).op_count
-        checks.append(OpCountCheck(solver, f"reported op_count at N={n}, K={k}",
-                                   ops, reported, reported == ops))
-        return ops
-
-    for solver, (n_slope, k_slope, reference) in REFERENCE_LAWS.items():
-        pentadiagonal = SOLVERS[solver].kernel.shape == "pd"
-        k = k_fix if pentadiagonal else 0
-        by_n = {n: counted(solver, n, k) for n in n_values}
-        for n1, n2 in zip(n_values, n_values[1:]):
-            measured = (by_n[n2] - by_n[n1]) / (n2 - n1)
-            checks.append(OpCountCheck(
-                solver, f"N-slope over ({n1},{n2}) at K={k}",
-                n_slope, measured, measured == n_slope))
-        constants[solver] = (by_n[n_fix] - n_slope * n_fix - k_slope * k,
-                             reference)
-        if pentadiagonal:
-            by_k = {kk: counted(solver, n_fix, kk) for kk in k_values}
-            for k1, k2 in zip(k_values, k_values[1:]):
-                expected = k_slope * (k2 - k1)
-                measured = by_k[k2] - by_k[k1]
+    for solver, spec in SOLVERS.items():
+        if spec.exact:
+            continue
+        pentadiagonal = spec.kernel.shape == "pd"
+        for n in n_values:
+            for k in (k_values if pentadiagonal else (0,)):
+                system = make_random_system(n, k, rng, kind=spec.kernel.shape)
+                ops = count_ops(solver, system)
+                reported = spec.entry_point()(system).op_count
                 checks.append(OpCountCheck(
-                    solver, f"K-step over ({k1},{k2}) at N={n_fix}",
-                    expected, measured, measured == expected))
-    return OpCountReport(checks, constants)
+                    solver, f"reported op_count at N={n}, K={k}", ops,
+                    reported, reported == ops))
+    return OpCountReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -644,5 +608,6 @@ def emit(results: list[BenchRow], path=None,
         if metadata is not None:
             meta = dict(metadata)
             meta.setdefault("host", platform.platform())
+            meta.update(native.thomas_twin().describe())
             Path(str(path) + ".meta.json").write_text(
                 json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")

@@ -1,6 +1,6 @@
 """Command-line harness: bench, verify-counts, converge, simulate.
 
-Exit code 0 on success; nonzero when a verification fails (op-count slopes,
+Exit code 0 on success; nonzero when a verification fails (op counts,
 convergence orders) or an error aborts the run.
 """
 
@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from . import native
 from .band_solvers import SOLVERS, BreakdownError
 from .bench import (BenchScenario, ScenarioError, bench, convergence_study,
                     emit, manufactured_single_layer, manufactured_two_layer,
@@ -65,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="permit N beyond 1e7 (several GB of memory)")
 
     p = sub.add_parser("verify-counts",
-                       help="check operation-count slopes against the "
-                            "reference laws")
+                       help="check the reported operation counts against "
+                            "counted ones")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("converge",
@@ -123,6 +124,7 @@ def _cmd_verify_counts(args) -> int:
     report = verify_op_counts(seed=args.seed)
     for line in report.lines():
         print(line)
+    print("float NTDM kernel:", *native.thomas_twin().describe().values())
     print("operation-count verification:",
           "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1

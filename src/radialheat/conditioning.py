@@ -137,18 +137,6 @@ def _off_diagonal_mass(matrix, rows=slice(None)) -> np.ndarray:
     return sum(np.abs(band[rows]) for j, band in enumerate(bands) if j != mid)
 
 
-def weakly_dominant_rows(matrix, rtol: float = 0.0) -> np.ndarray:
-    """Per-row weak diagonal dominance: |diag| >= sum |off-diag|.
-
-    rtol loosens the comparison by rtol * (row magnitude) to absorb float
-    rounding; exact (object) matrices are scanned exactly.
-    """
-    diag = np.abs(matrix.main)
-    off = _off_diagonal_mass(matrix)
-    slack = rtol * np.maximum(diag, off) if rtol else 0
-    return np.asarray(diag + slack >= off, dtype=bool)
-
-
 def build_td_shift(td: TriMatrix) -> ShiftDiag:
     """Dominance shift for a reduced tridiagonal matrix.
 

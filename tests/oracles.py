@@ -13,7 +13,8 @@ so the whole-array code can be held to them value for value.  Here the
 interior row is written one node at a time: sample evaluates a node's
 coefficients and assemble_interior_row its stencil, with the steps
 recomputed from the nodes.  band_pattern_errors checks the sparsity of a
-PentaMatrix.  pd_shift_rows keeps the paper's closed form of the
+PentaMatrix, and weakly_dominant_rows scans a matrix for weak diagonal
+dominance.  pd_shift_rows keeps the paper's closed form of the
 pentadiagonal shift, which build_pd_shift reads off the assembled matrix
 instead.  So do the band product and the PD -> TD reduction oracles, which
 write out the operation order that BandMatrix.matvec and
@@ -301,6 +302,20 @@ def td_shift_rows(td, rtol=1e-13):
             entries[i] = deficit
             extended.append(i)
     return entries, tuple(extended)
+
+
+def weakly_dominant_rows(matrix, rtol=0.0):
+    """Per-row weak diagonal dominance: |main| >= sum |off-diagonal|.
+
+    rtol loosens the comparison by rtol * (row magnitude) to absorb float
+    rounding; exact (object) matrices are scanned exactly.
+    """
+    bands = matrix.bands()
+    mid = len(bands) // 2
+    diag = np.abs(bands[mid])
+    off = sum(np.abs(band) for j, band in enumerate(bands) if j != mid)
+    slack = rtol * np.maximum(diag, off) if rtol else 0
+    return np.asarray(diag + slack >= off, dtype=bool)
 
 
 def pd_shift_rows(mesh, lams):

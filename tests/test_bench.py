@@ -13,7 +13,7 @@ from radialheat import (SOLVERS, BenchScenario, StepConfig, TemperatureField,
                         advance, band_solvers, bench, build_bench_case,
                         build_mesh, convergence_study, emit, load_config,
                         manufactured_single_layer, manufactured_two_layer,
-                        run, time_stepper, verify_op_counts)
+                        native, run, time_stepper, verify_op_counts)
 from radialheat.bench import (ScenarioError, constructed_profile, default_layers,
                               spread_contacts)
 from radialheat.cli import main as cli_main
@@ -110,13 +110,18 @@ def test_constructed_profile_matches_scalar_formula(exact):
 
 
 def test_verify_op_counts_passes_with_exact_slopes():
-    report = verify_op_counts(n_values=(200, 400, 800), k_values=(0, 2, 5))
+    # the tallies sit on the laws at every (N, K), constants included
+    n_values, k_values = (200, 400, 800), (0, 2, 5)
+    report = verify_op_counts(n_values=n_values, k_values=k_values)
     assert report.passed
-    measured = dict(report.constants)
-    assert measured["NPDM"] == (-29, -29)
-    assert measured["MNPDM"][0] == -8 and measured["MNPDM"][1] == -14
-    assert measured["NTDM"][0] == -8 and measured["NTDM"][1] == 2
-    assert any("reference law" in line for line in report.lines())
+    laws = {"NPDM": lambda n, k: 19 * n - 29,
+            "MNPDM": lambda n, k: 13 * n + 7 * k - 8,
+            "NTDM": lambda n, k: 9 * n - 8}
+    expected = sorted((solver, f"reported op_count at N={n}, K={k}", law(n, k))
+                      for solver, law in laws.items() for n in n_values
+                      for k in (k_values if solver != "NTDM" else (0,)))
+    assert sorted((c.solver, c.quantity, c.expected)
+                  for c in report.checks) == expected
 
 
 @pytest.mark.parametrize("kernel", ["LU", "MODIFIED", "THOMAS"])
@@ -150,6 +155,9 @@ def test_emit_writes_csv_and_metadata(tmp_path, capsys):
     assert text[1].startswith("200,NTDM,")
     meta = json.loads((tmp_path / "bench.csv.meta.json").read_text())
     assert meta["seed"] == 0 and "host" in meta
+    # a row never measures the Python fallback without saying so
+    kernel = native.thomas_twin().describe()
+    assert {key: meta[key] for key in kernel} == kernel
 
 
 def test_emit_rejects_empty():
@@ -310,6 +318,8 @@ def test_cli_verify_counts(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    kernel = native.thomas_twin().describe()
+    assert f"float NTDM kernel: {' '.join(kernel.values())}\n" in out
 
 
 def test_cli_converge(capsys):

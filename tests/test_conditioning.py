@@ -7,12 +7,11 @@ import pytest
 
 from oracles import (dense_solve, exact_dense_rows, pd_shift_rows,
                      pivoted_fraction_solve, reduce_rows, rel_inf_err,
-                     td_shift_rows)
+                     td_shift_rows, weakly_dominant_rows)
 from radialheat import (LayerSpec, LinearSystem, MaterialModel, PentaMatrix,
                         Polynomial, ReductionBreakdownError, TriMatrix,
                         assemble_system, build_mesh, build_pd_shift,
-                        build_td_shift, contact_conductivities, pd_to_td,
-                        weakly_dominant_rows)
+                        build_td_shift, contact_conductivities, pd_to_td)
 from radialheat.bench import (DEFAULT_MATERIALS, constructed_profile,
                               default_layers, make_random_system)
 from radialheat.exact_solvers import exact_solve_td
