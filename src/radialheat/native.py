@@ -2,25 +2,19 @@
 
 thomas_twin() compiles thomas.c with ``cc -O2 -ffp-contract=off -fPIC
 -shared`` (no -ffast-math and no -march: a fused multiply-add would change
-roundings) and loads it with ctypes.  It runs once per process, on the first
-float NTDM factorization, never at import.  The build goes to a temporary
-directory, removed once the library is loaded, and is copied into the cache
-~/.cache/radialheat under a name keyed by the hash of the source, the flags
-and the machine: under a temporary name first, then os.replace, so no
-process sees a partial file.  Later processes load the cached library.  The
-cache is used only if it is a directory owned by the user and writable by
-no one else.  If the build or the load fails, the twin records why, and
+roundings) into a temporary directory and loads it with ctypes; the
+directory is removed once the library is loaded.  It runs once per process,
+on the first float NTDM factorization, never at import, and costs one cc
+run, about 0.09 s.  If the build or the load fails (no compiler, or a
+temporary directory mounted noexec), the twin records why, and
 band_solvers runs the Python kernel.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-import platform
-import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -32,35 +26,24 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 @dataclass(frozen=True)
 class Twin:
-    """The loaded library, or None and the reason the build failed.
-    source_sha256 hashes thomas.c alone."""
+    """The loaded library, or None and the reason the build failed, with
+    the source bytes that cc was given."""
 
     lib: ctypes.CDLL | None
-    source_sha256: str
+    source: bytes = field(repr=False)
     error: str = ""
 
     def describe(self) -> dict:
-        """Which float NTDM kernel runs: compiled, or python and why."""
+        """Which float NTDM kernel runs: compiled with the sha256 of its
+        source, or python and why."""
         if self.lib is None:
             return {"ntdm_kernel": "python", "build_error": self.error}
-        return {"ntdm_kernel": "compiled", "source_sha256": self.source_sha256}
+        # imported here: hashlib loads OpenSSL, about 3.6 MB of resident
+        # memory that no solve needs
+        import hashlib
 
-
-def _cache_dir() -> Path | None:
-    """~/.cache/radialheat if it is, or can be made, a directory that only
-    its owner, the current user, can write."""
-    home = Path(os.path.expanduser("~"))
-    if not home.is_absolute():
-        return None
-    path = home / ".cache" / "radialheat"
-    try:
-        path.mkdir(mode=0o700, parents=True, exist_ok=True)
-        st = path.stat()
-    except OSError:
-        return None
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        return None
-    return path
+        return {"ntdm_kernel": "compiled",
+                "source_sha256": hashlib.sha256(self.source).hexdigest()}
 
 
 def _load(lib_path: Path) -> ctypes.CDLL:
@@ -76,59 +59,34 @@ def _load(lib_path: Path) -> ctypes.CDLL:
 
 @cache
 def thomas_twin() -> Twin:
-    """Build (or find in the cache) and load the twin, once per process."""
-    # imported here: hashlib loads OpenSSL, about 4 MB of resident memory
-    import hashlib
+    """Build and load the twin, once per process."""
+    # imported here: about 0.4 MB of resident memory that only the build
+    # needs
     import subprocess
 
     source = SOURCE.read_bytes()
-    source_sha256 = hashlib.sha256(source).hexdigest()
-    key = hashlib.sha256(b"\0".join(
-        (source, " ".join(CFLAGS).encode(), platform.machine().encode())))
-    name = f"thomas-{key.hexdigest()[:16]}.so"
-    cache_dir = _cache_dir()
     try:
-        if cache_dir is not None and (cache_dir / name).is_file():
-            return Twin(_load(cache_dir / name), source_sha256)
         with tempfile.TemporaryDirectory(prefix="radialheat-") as tmp:
-            built = Path(tmp) / name
-            subprocess.run(["cc", *CFLAGS, "-o", str(built), str(SOURCE)],
-                           check=True, capture_output=True, text=True,
+            built = Path(tmp) / "thomas.so"
+            subprocess.run(["cc", *CFLAGS, "-o", str(built), "-x", "c", "-"],
+                           input=source, check=True, capture_output=True,
                            timeout=120)
             lib = _load(built)
-            if cache_dir is not None:
-                _publish(built, cache_dir / name)
     except subprocess.CalledProcessError as exc:
-        return Twin(None, source_sha256,
-                    f"cc exited with {exc.returncode}: {exc.stderr.strip()}")
+        stderr = exc.stderr.decode(errors="replace").strip()
+        return Twin(None, source, f"cc exited with {exc.returncode}: {stderr}")
     except (OSError, subprocess.SubprocessError) as exc:
-        return Twin(None, source_sha256, f"{type(exc).__name__}: {exc}")
-    return Twin(lib, source_sha256)
-
-
-def _publish(built: Path, target: Path) -> None:
-    """Copy built to target under a temporary name, then rename; a cache
-    that cannot be written is skipped."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    except OSError:
-        return
-    os.close(fd)
-    try:
-        shutil.copyfile(built, tmp)
-        os.replace(tmp, target)
-    except OSError:
-        Path(tmp).unlink(missing_ok=True)
+        return Twin(None, source, f"{type(exc).__name__}: {exc}")
+    return Twin(lib, source)
 
 
 def factor(lib: ctypes.CDLL, c: np.ndarray, d: np.ndarray, a: np.ndarray,
            thr: np.ndarray) -> tuple[int, tuple]:
-    """(-1, factors) or (the breakdown row, None).  Every input is a
-    contiguous float64 array of length n >= 2.  The factors keep a copy of
-    c, as the Python kernel's keep its list."""
+    """(-1, factors) or (the breakdown row, None).  The caller has checked
+    that the four float64 arrays share one length n >= 2.  The factors keep
+    a copy of c, as the Python kernel's keep its list."""
+    c, d, a = (np.ascontiguousarray(band) for band in (c, d, a))
     n = len(d)
-    if n < 2 or any(arr.shape != (n,) for arr in (c, a, thr)):
-        raise ValueError("the THOMAS twin needs four length-N bands, N >= 2")
     sp = np.zeros(n)
     q = np.empty(n)
     row = lib.thomas_factor(n, c, d, a, thr, sp, q)

@@ -34,7 +34,8 @@ def compiled():
 def python_outcome(system):
     """The Python kernel's solution bytes, or its breakdown row."""
     try:
-        inputs, thresholds = band_solvers._float_inputs(system.matrix, THOMAS)
+        inputs = [band.tolist() for band in system.matrix.bands()]
+        thresholds = band_solvers._thresholds(system.matrix).tolist()
         factors = THOMAS.factor(inputs, thresholds, raise_breakdown)
     except BreakdownError as exc:
         return "breakdown", exc.row
@@ -48,6 +49,12 @@ def compiled_outcome(system):
         return solve_td_thomas(system).solution.tobytes()
     except BreakdownError as exc:
         return "breakdown", exc.row
+
+
+def python_only(monkeypatch):
+    """Make every later factorization run the Python kernel."""
+    unbuilt = native.Twin(None, b"", "not built")
+    monkeypatch.setattr(native, "thomas_twin", lambda: unbuilt)
 
 
 def tri_system(sub, diag, sup, rhs):
@@ -124,7 +131,7 @@ def corrected_case(n=1000):
 def test_corrected_back_solves_are_byte_equal(compiled, monkeypatch):
     system, shift = corrected_case()
     x = time_stepper._corrected_solve(system, shift, SOLVERS["NTDM"])
-    monkeypatch.setattr(band_solvers, "_compiled_thomas", lambda matrix: None)
+    python_only(monkeypatch)
     reference = time_stepper._corrected_solve(system, shift, SOLVERS["NTDM"])
     assert x.tobytes() == reference.tobytes()
 
@@ -152,8 +159,17 @@ def test_time_steps_and_pass_counts_are_byte_equal(compiled, monkeypatch):
         return out
 
     steps = trajectories()
-    monkeypatch.setattr(band_solvers, "_compiled_thomas", lambda matrix: None)
+    python_only(monkeypatch)
     assert steps == trajectories()
+
+
+def fresh_twin():
+    """thomas_twin() built again under the current patches."""
+    native.thomas_twin.cache_clear()
+    try:
+        return native.thomas_twin()
+    finally:
+        native.thomas_twin.cache_clear()
 
 
 def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path):
@@ -161,68 +177,51 @@ def test_failed_build_falls_back_to_the_python_kernel(monkeypatch, tmp_path):
     expected = python_outcome(system)
     broken = tmp_path / "thomas.c"
     broken.write_text("this is not C\n")
-    monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.setattr(native, "SOURCE", broken)
-    native.thomas_twin.cache_clear()
-    try:
-        twin = native.thomas_twin()
-        rep = solve_td_thomas(system)
-    finally:
-        native.thomas_twin.cache_clear()
+    twin = fresh_twin()
     assert twin.lib is None
-    assert twin.describe()["ntdm_kernel"] == "python"
+    assert twin.describe() == {"ntdm_kernel": "python",
+                               "build_error": twin.error}
     assert twin.error
-    assert rep.solution.tobytes() == expected
-    assert not any((tmp_path / ".cache" / "radialheat").iterdir())
+    monkeypatch.setattr(native, "thomas_twin", lambda: twin)
+    assert solve_td_thomas(system).solution.tobytes() == expected
 
 
 @needs_cc
-@pytest.mark.parametrize("home", ["file", "shared"])
-def test_an_unsafe_cache_builds_in_a_temporary_directory(monkeypatch,
-                                                         tmp_path, home):
-    # a HOME that is a file leaves no cache to write; a cache that others
-    # can write is not trusted
-    if home == "file":
-        (tmp_path / "home").write_text("")
-    else:
-        cache = tmp_path / "home" / ".cache" / "radialheat"
-        cache.mkdir(parents=True)
-        cache.chmod(0o777)
-    monkeypatch.setenv("HOME", str(tmp_path / "home"))
-    native.thomas_twin.cache_clear()
-    try:
-        twin = native.thomas_twin()
-    finally:
-        native.thomas_twin.cache_clear()
-    assert twin.lib is not None, twin.error
-    if home == "shared":
-        assert not any(cache.iterdir())
+def test_a_library_that_will_not_load_falls_back(monkeypatch):
+    # as on a host whose temporary directory is mounted noexec
+    def refuse(lib_path):
+        raise OSError(f"{lib_path}: failed to map segment from shared object")
+
+    system = build_bench_case(1000, 11, 0).td_system
+    expected = python_outcome(system)
+    monkeypatch.setattr(native, "_load", refuse)
+    twin = fresh_twin()
+    assert twin.lib is None
+    assert twin.error.startswith("OSError: ")
+    assert "failed to map segment" in twin.error
+    monkeypatch.setattr(native, "thomas_twin", lambda: twin)
+    assert solve_td_thomas(system).solution.tobytes() == expected
 
 
 @needs_cc
 def test_import_builds_nothing_and_the_first_ntdm_solve_builds_once(tmp_path):
     script = """
-from pathlib import Path
 import radialheat
 from radialheat import native
-cache = Path.home() / ".cache" / "radialheat"
-print(native.thomas_twin.cache_info().currsize, cache.exists())
+print(native.thomas_twin.cache_info().currsize)
 case = radialheat.build_bench_case(200, 3, 0)
 radialheat.solve_pd_lu(case.pd_system)
 print(native.thomas_twin.cache_info().currsize)
 radialheat.solve_td_thomas(case.td_system)
-print(native.thomas_twin().describe()["ntdm_kernel"],
-      *sorted(f"{p.name}@{p.stat().st_mtime_ns}" for p in cache.iterdir()))
+radialheat.solve_td_thomas(case.td_system)
+print(native.thomas_twin.cache_info().misses, native.thomas_twin().lib is None)
 """
     src = str(Path(radialheat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, HOME=str(tmp_path))
-    runs = [subprocess.run([sys.executable, "-c", script], env=env,
-                           check=True, capture_output=True,
-                           text=True).stdout.split() for _ in range(2)]
-    first, second = runs
-    assert first[:3] == ["0", "False", "0"]
-    assert first[3] == "compiled"
-    assert len(first) == 5 and first[4].startswith("thomas-")
-    assert first[4].partition("@")[0].endswith(".so")
-    # the second process loads the cached library and writes nothing
-    assert second[:3] == ["0", "True", "0"] and second[3:] == first[3:]
+    env = dict(os.environ, PYTHONPATH=src, TMPDIR=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    # one build for two solves, kept in memory
+    assert out == ["0", "0", "1", "False"]
+    # the temporary build directory is gone
+    assert not any(tmp_path.iterdir())
